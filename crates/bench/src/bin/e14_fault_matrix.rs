@@ -14,7 +14,7 @@
 //! whole-run cross-engine equivalence check under fault injection.
 //!
 //! Cells are independent campaigns, so the matrix fans out over the
-//! work-stealing executor; reports come back in cell order, making the
+//! order-preserving executor; reports come back in cell order, making the
 //! printed table and the manifest rows identical for any `--threads`.
 //!
 //! Usage: `e14_fault_matrix [--trials N] [--max-gens G] [--threads T]`
@@ -53,25 +53,17 @@ fn main() {
         .into_iter()
         .flat_map(|m| RATES.map(|r| (m, r)))
         .collect();
-    let reports = leonardo_exec::ordered_map(
-        if threads == 0 {
-            leonardo_exec::available_threads()
-        } else {
-            threads
-        },
-        cells,
-        |_, (model, rate)| {
-            let campaign = Campaign::new(model, rate)
-                .with_max_generations(max_gens)
-                .with_dwell_window(DWELL_WINDOW);
-            (
-                model,
-                rate,
-                campaign.run_x64(&seeds),
-                campaign.run_scalar(&seeds),
-            )
-        },
-    );
+    let reports = leonardo_exec::ordered_map(threads, cells, |_, (model, rate)| {
+        let campaign = Campaign::new(model, rate)
+            .with_max_generations(max_gens)
+            .with_dwell_window(DWELL_WINDOW);
+        (
+            model,
+            rate,
+            campaign.run_x64(&seeds),
+            campaign.run_scalar(&seeds),
+        )
+    });
 
     for (model, rate, x64, scalar) in reports {
         {

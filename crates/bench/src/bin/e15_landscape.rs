@@ -9,9 +9,10 @@
 //! canonical sample of it.
 //!
 //! Cross-checks wired in:
-//! * the exhaustive max-set cardinality must equal the analytic
-//!   `max_fitness_genomes()` construction (36 x 49² = 86 436) on a full
-//!   sweep;
+//! * the exhaustive max set must match the analytic
+//!   `max_fitness_genomes()` construction (36 x 49² = 86 436 on a full
+//!   sweep) restricted to the swept subspace: the exact count, and the
+//!   sample as its ascending capped prefix;
 //! * seeded e1-style GA winners must be members of the exhaustive max
 //!   set — evolution may only find needles the enumeration also found.
 //!
@@ -121,13 +122,7 @@ fn main() {
     } else {
         Sweep::new(config.clone())
     };
-    let threads = if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    };
+    let threads = leonardo_exec::resolve_threads(config.threads);
     session.set_threads(threads);
 
     println!(
@@ -167,34 +162,33 @@ fn main() {
         histogram: result.histogram.counts().to_vec(),
     });
 
+    // the analytic construction pins the max set of every subspace: its
+    // exact size and the canonical (ascending, capped) sample prefix
     let full = subspace_bits == GENOME_BITS as u32;
+    let mut analytic: Vec<u64> = max_fitness_genomes()
+        .map(|g| g.bits())
+        .filter(|&g| g < 1 << subspace_bits)
+        .collect();
+    analytic.sort_unstable();
+    assert_eq!(
+        result.max_count,
+        analytic.len() as u64,
+        "exhaustive max-set cardinality disagrees with the analytic construction"
+    );
     if full {
-        let analytic = max_fitness_genomes().count() as u64;
-        assert_eq!(analytic, FULL_SWEEP_MAX_SET);
-        assert_eq!(
-            result.max_count, analytic,
-            "exhaustive max-set cardinality disagrees with the analytic construction"
-        );
-        let sample_complete = result.max_samples.len() as u64 == result.max_count;
-        if sample_complete {
-            for g in max_fitness_genomes() {
-                assert!(
-                    result.max_samples.binary_search(&g.bits()).is_ok(),
-                    "analytic maximal genome {:#011x} missing from sweep",
-                    g.bits()
-                );
-            }
-            println!(
-                "  max set verified genome-for-genome against the analytic \
-                 36 x 49^2 construction"
-            );
-        }
-    } else {
-        println!(
-            "  (subspace sweep: the genuine max set lives outside low prefixes — \
-             low step-2 bits force right legs all-forward, breaking equilibrium)"
-        );
+        assert_eq!(result.max_count, FULL_SWEEP_MAX_SET);
     }
+    analytic.truncate(config.sample_cap);
+    assert_eq!(
+        result.max_samples, analytic,
+        "max-set samples are not the analytic construction's ascending prefix"
+    );
+    println!(
+        "  max set verified against the analytic 36 x 49^2 construction: \
+         {} genome(s), the lowest {} compared genome-for-genome",
+        result.max_count,
+        result.max_samples.len()
+    );
 
     let (converged, checked) = ga_cross_check(&result, ga_trials, ga_max_gens);
     println!(

@@ -8,7 +8,7 @@
 //!
 //! * seeded NSGA-II campaigns over the walker's scenario catalog
 //!   (distance / worst-case stability margin / energy), fanned out over
-//!   the work-stealing exec driver and bit-identical at any thread
+//!   the order-preserving exec driver and bit-identical at any thread
 //!   count;
 //! * the max-set walk table: a seeded subsample of the analytic
 //!   max-fitness set walked on flat ground and ranked by distance — the
@@ -56,11 +56,7 @@ fn main() {
             .map(|&s| s as u32)
             .collect::<Vec<_>>(),
     );
-    let worker_count = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
-    };
+    let worker_count = leonardo_exec::resolve_threads(threads);
     session.set_threads(worker_count);
 
     let problem = if flat_only {

@@ -8,7 +8,7 @@
 //!
 //! * seeded single-objective GA campaigns (the hardware GAP
 //!   configuration), each winner cross-checked through the problem's
-//!   bit-parallel batch kernel, fanned out over the work-stealing exec
+//!   bit-parallel batch kernel, fanned out over the order-preserving exec
 //!   driver and bit-identical at any thread count and plane width;
 //! * an exhaustive subspace landscape sweep through the same kernel —
 //!   the full 2^16 space for the serial adder, the low 2^16 corner for
@@ -55,11 +55,7 @@ fn main() {
     session.set_plane_width(256);
 
     let seeds = campaign_seeds(num_seeds);
-    let worker_count = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
-    };
+    let worker_count = leonardo_exec::resolve_threads(threads);
     println!(
         "E17: {} registered problem(s), {num_seeds} GA campaign(s) each, \
          {generations} generation budget, {worker_count} thread(s)\n",

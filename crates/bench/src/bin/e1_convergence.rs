@@ -92,11 +92,7 @@ fn main() {
         params.mutations_per_generation as f64,
     );
     session.set_seeds(&seeds);
-    session.set_threads(
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-    );
+    session.set_threads(0);
 
     println!(
         "E1: {trials} GAP trials, paper parameters (pop 32, sel 0.8, xover 0.7, 15 mutations)\n"

@@ -6,7 +6,7 @@ use discipulus::stats::SampleSummary;
 use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig, Plane};
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_telemetry as tele;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Emit the per-trial `bench.trial` telemetry event every sampling path
 /// shares; `cycles` is 0 for the behavioural engine (no clock).
@@ -146,8 +146,8 @@ pub fn engine_label<P: Plane>() -> &'static str {
 /// Multi-seed RTL convergence sampling on the bit-sliced batch engine:
 /// each worker thread owns a [`GapRtlXW`] and pulls seeds from a shared
 /// queue into lanes as they free up, so all `P::LANES` lanes of every
-/// engine stay busy until the queue drains. Per-seed results are
-/// bit-identical to [`rtl_convergence_scalar`] — and to any other width
+/// engine stay busy until the queue drains. No more engines run than
+/// the seed list can fill. Per-seed results are bit-identical to [`rtl_convergence_scalar`] — and to any other width
 /// or thread count — and come back in seed order; which *engine* runs a
 /// given seed varies with scheduling, but every lane is bit-exact with a
 /// fresh scalar chip on that seed, so the per-seed outcome cannot.
@@ -170,26 +170,18 @@ pub fn rtl_evolve_batch_w<P: Plane>(
     max_generations: u64,
     threads: usize,
 ) -> Vec<EvolvedTrial> {
-    let n = seeds.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
-    }
-    .min(n.div_ceil(P::LANES).max(1));
-    let results: Mutex<Vec<(usize, EvolvedTrial)>> = Mutex::new(Vec::with_capacity(n));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                batch_worker::<P>(seeds, max_generations, &next, &results);
-            });
-        }
-    });
-    let mut collected = results.into_inner();
+    // one item per engine the seed list can fill; every engine drains the
+    // shared seed queue, so an item that starts after it emptied is a
+    // no-op and min(threads, engines) engines do all the work
+    let next = AtomicUsize::new(0);
+    let engines = seeds.len().div_ceil(P::LANES);
+    let mut collected: Vec<(usize, EvolvedTrial)> =
+        leonardo_exec::ordered_map_range(threads, engines, |_| {
+            batch_worker::<P>(seeds, max_generations, &next)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
 }
@@ -202,14 +194,12 @@ pub fn rtl_convergence_batch(seeds: &[u32], max_generations: u64) -> Vec<RtlTria
 
 /// One refilling batch engine: claim up to `P::LANES` seeds, run the
 /// converged-or-out-of-budget lanes dry, and reseed each freed lane from
-/// the queue.
+/// the queue. Returns the trials it ran, tagged with their seed index.
 fn batch_worker<P: Plane>(
     seeds: &[u32],
     max_generations: u64,
-    next: &std::sync::atomic::AtomicUsize,
-    results: &Mutex<Vec<(usize, EvolvedTrial)>>,
-) {
-    use std::sync::atomic::Ordering::Relaxed;
+    next: &AtomicUsize,
+) -> Vec<(usize, EvolvedTrial)> {
     let claim = |cap: usize| -> Vec<usize> {
         (0..cap)
             .map_while(|_| {
@@ -223,9 +213,10 @@ fn batch_worker<P: Plane>(
     // lanes it reseeds, so freed lanes pool up and refill as a group
     const REFILL_GROUP: usize = 8;
 
+    let mut results = Vec::new();
     let first = claim(P::LANES);
     if first.is_empty() {
-        return;
+        return results;
     }
     let lane_seeds: Vec<u32> = first.iter().map(|&i| seeds[i]).collect();
     let mut gap = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &lane_seeds);
@@ -248,7 +239,7 @@ fn batch_worker<P: Plane>(
             };
             let (best_genome, best_fitness) = gap.best(l);
             emit_trial(engine_label::<P>(), seeds[i], done);
-            results.lock().push((
+            results.push((
                 i,
                 EvolvedTrial {
                     trial: done,
@@ -282,28 +273,21 @@ fn batch_worker<P: Plane>(
             }
         }
         if active.is_zero() {
-            return;
+            return results;
         }
         gap.step_generation_masked(active);
     }
 }
 
-/// Map `f` over `items` on `threads` work-stealing workers, preserving
-/// input order. Results are independent of thread scheduling. `threads`
-/// of 0 means one per available core.
+/// Map `f` over `items` on `threads` workers, preserving input order.
+/// Results are independent of thread scheduling. `threads` of 0 means
+/// one per available core.
 pub fn parallel_map_threads<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     threads: usize,
     items: &[T],
     f: F,
 ) -> Vec<R> {
-    let threads = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
-    };
-    leonardo_exec::ordered_map_range(threads.min(items.len().max(1)), items.len(), |i| {
-        f(&items[i])
-    })
+    leonardo_exec::ordered_map_range(threads, items.len(), |i| f(&items[i]))
 }
 
 /// [`parallel_map_threads`] on all available cores.

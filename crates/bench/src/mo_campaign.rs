@@ -5,7 +5,7 @@
 //!
 //! * [`nsga2_campaigns`] — seeded multi-objective evolution over the
 //!   walker's scenario catalog: distance, worst-case stability margin and
-//!   (negated) energy. Campaigns fan out over the work-stealing exec
+//!   (negated) energy. Campaigns fan out over the order-preserving exec
 //!   driver and are bit-identical at any thread count.
 //! * [`max_set_walk_table`] — walk a seeded subsample of the analytic
 //!   max-fitness set on flat ground and rank the genomes by what the rule
@@ -143,8 +143,8 @@ pub fn nsga2_campaign(
     campaign_of(seed, out)
 }
 
-/// Seeded NSGA-II campaigns spread over `threads` work-stealing workers
-/// (0 = one per core). Each campaign is a pure function of its seed, so
+/// Seeded NSGA-II campaigns spread over `threads` workers (0 = one per
+/// core). Each campaign is a pure function of its seed, so
 /// the result vector is bit-identical at any thread count.
 pub fn nsga2_campaigns(
     problem: &GaitMoProblem,

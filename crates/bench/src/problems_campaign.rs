@@ -2,13 +2,13 @@
 //!
 //! The single-objective GA pointed at the problem registry: every
 //! campaign is a seeded [`Ga`] run against one registered
-//! [`EvolvableProblem`], fanned out over the work-stealing exec driver
-//! and bit-identical at any thread count. Each trial's winner is
-//! cross-checked through the problem's bit-parallel batch kernel at the
-//! caller's plane width, so a campaign cannot report a fitness the
-//! sliced path disagrees with — the same scalar-vs-kernel equality the
-//! conformance suite pins, enforced once more on the genomes evolution
-//! actually finds.
+//! [`EvolvableProblem`](evo::evolvable::EvolvableProblem), fanned out
+//! over the order-preserving exec driver and bit-identical at any thread
+//! count. Each trial's winner is cross-checked through the problem's
+//! bit-parallel batch kernel at the caller's plane width, so a campaign
+//! cannot report a fitness the sliced path disagrees with — the same
+//! scalar-vs-kernel equality the conformance suite pins, enforced once
+//! more on the genomes evolution actually finds.
 
 use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
@@ -68,8 +68,8 @@ pub fn problem_campaign(
     }
 }
 
-/// Seeded GA campaigns against `spec` spread over `threads` work-stealing
-/// workers (0 = one per core), each winner cross-checked through the
+/// Seeded GA campaigns against `spec` spread over `threads` workers (0 =
+/// one per core), each winner cross-checked through the
 /// problem's width-`P` batch kernel. Each campaign is a pure function of
 /// its seed, so the result vector is bit-identical at any thread count
 /// and plane width.

@@ -103,11 +103,7 @@ impl ExperimentSession {
     /// "auto" at the call sites, so it is resolved to the detected
     /// parallelism before it lands in the manifest.
     pub fn set_threads(&mut self, threads: usize) {
-        self.manifest.threads = if threads == 0 {
-            leonardo_exec::available_threads() as u64
-        } else {
-            threads as u64
-        };
+        self.manifest.threads = leonardo_exec::resolve_threads(threads) as u64;
     }
 
     /// Record the bit-slice plane width (lanes per plane word) the run's

@@ -1,6 +1,6 @@
 //! The width-generic evolvable-problem abstraction.
 //!
-//! [`Problem`](crate::problem::Problem) scores arbitrary-width
+//! [`Problem`] scores arbitrary-width
 //! [`BitString`] genomes with an `f64` — the right shape for the software
 //! GA toolbox, but too loose for the repo's bit-exact differential pins:
 //! the hardware-style workloads (the gait rules, FSM synthesis from I/O
@@ -13,7 +13,7 @@
 //! an optional known optimum, and a decode to a human-readable artefact
 //! description. It is object-safe, so problem catalogs can hold
 //! `Box<dyn EvolvableProblem>` entries, and [`Evolvable`] adapts any
-//! instance back onto the [`Problem`](crate::problem::Problem) trait —
+//! instance back onto the [`Problem`] trait —
 //! `u32 → f64` is exact, so a GA run through the adapter is bit-identical
 //! to one over a hand-written `Problem` with the same arithmetic.
 
@@ -138,7 +138,7 @@ impl<E: EvolvableProblem + ?Sized> EvolvableProblem for Box<E> {
 }
 
 /// Adapter presenting an [`EvolvableProblem`] as a
-/// [`Problem`](crate::problem::Problem), so every searcher in this crate
+/// [`Problem`], so every searcher in this crate
 /// (the generational GA, the baselines, islands, sweeps) runs unchanged.
 ///
 /// The conversion is exact in both directions that matter: genomes of

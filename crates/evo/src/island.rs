@@ -7,9 +7,11 @@
 //! individuals to its ring neighbour, which replaces its worst individuals
 //! with them.
 //!
-//! Rounds are fork-join (one scoped thread per island per round), so the
-//! result is **bit-for-bit deterministic** for a given seed regardless of
-//! thread scheduling — a property the unit tests assert.
+//! Rounds are fork-join (the islands pass through
+//! [`leonardo_exec::ordered_map`], one worker per island, and come back in
+//! order), so the result is **bit-for-bit deterministic** for a given
+//! seed regardless of thread scheduling — a property the unit tests
+//! assert.
 
 use crate::ga::{Ga, GaConfig};
 use crate::genome::BitString;
@@ -113,14 +115,12 @@ impl<'p, P: Problem + Sync> IslandModel<'p, P> {
     /// ring.
     pub fn round(&mut self) {
         let interval = self.config.migration_interval;
-        std::thread::scope(|scope| {
-            for ga in &mut self.islands {
-                scope.spawn(move || {
-                    for _ in 0..interval {
-                        ga.step();
-                    }
-                });
+        let islands = std::mem::take(&mut self.islands);
+        self.islands = leonardo_exec::ordered_map(islands.len(), islands, |_, mut ga| {
+            for _ in 0..interval {
+                ga.step();
             }
+            ga
         });
         self.migrate();
         self.rounds += 1;

@@ -1,7 +1,7 @@
 //! Parallel parameter-sweep driver (experiment E9).
 //!
 //! Runs a grid of GA configurations × seeds over a problem, distributing
-//! trials across a work-stealing pool ([`leonardo_exec::ordered_map`]),
+//! trials across worker threads ([`leonardo_exec::ordered_map`]),
 //! and aggregates success rate / generations-to-solution / evaluation
 //! counts per configuration. Results are **bit-identical for any thread
 //! count**: each trial is deterministic, and the executor hands trial
@@ -114,12 +114,6 @@ impl SweepRunner {
     ) -> SweepReport {
         assert!(!points.is_empty(), "no sweep points");
         assert!(!self.seeds.is_empty(), "no seeds");
-        let threads = if self.threads == 0 {
-            leonardo_exec::available_threads()
-        } else {
-            self.threads
-        };
-
         // job = (point index, seed); results come back in job order, so
         // the per-point aggregation below is scheduling-independent
         let jobs: Vec<(usize, u64)> = points
@@ -128,7 +122,7 @@ impl SweepRunner {
             .flat_map(|(pi, _)| self.seeds.iter().map(move |&seed| (pi, seed)))
             .collect();
         type Trial = (usize, bool, u64, u64); // point, success, gens, evals
-        let all: Vec<Trial> = leonardo_exec::ordered_map(threads, jobs, |_, (pi, seed)| {
+        let all: Vec<Trial> = leonardo_exec::ordered_map(self.threads, jobs, |_, (pi, seed)| {
             let mut ga = Ga::new(points[pi].config, problem, seed);
             let out = ga.run(self.max_generations, target);
             if tele::enabled_at(tele::Level::Metric) {

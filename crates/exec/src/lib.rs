@@ -1,4 +1,4 @@
-//! Deterministic work-stealing parallel execution for the batch drivers.
+//! Deterministic parallel execution for the batch drivers.
 //!
 //! Every multi-trial driver in this workspace (the evolution sweeps, the
 //! bench harness, the fault campaigns, the landscape sweeper) has the same
@@ -6,13 +6,12 @@
 //! internally deterministic, whose results must merge into a result that
 //! is **bit-identical for any thread count** — the repo's reproducibility
 //! contract extends to `--threads`. [`ordered_map`] is that shape as a
-//! function: items fan out over a work-stealing pool (a shared
-//! [`crossbeam::deque::Injector`] feeding per-thread worker deques, idle
-//! threads stealing from busy ones), results carry their item index home,
-//! and the merge sorts by index before returning. Thread scheduling
-//! decides only *when* an item runs, never *where its result lands* — so
-//! floating-point folds, RNG hand-offs and JSON outputs downstream of the
-//! merge see one canonical order.
+//! function: scoped workers claim the next `(index, item)` from one
+//! shared iterator, results carry their item index home, and the merge
+//! sorts by index before returning. Thread scheduling decides only *when*
+//! an item runs, never *where its result lands* — so floating-point
+//! folds, RNG hand-offs and JSON outputs downstream of the merge see one
+//! canonical order.
 //!
 //! One thread (or one item) short-circuits to a plain in-place loop — the
 //! single-threaded path is the literal sequential program, not a pool of
@@ -22,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use crossbeam::deque::{Injector, Stealer, Worker};
 use std::sync::Mutex;
 
 /// Number of worker threads the host can usefully run, for drivers whose
@@ -34,61 +32,63 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Map `f` over `items` on `threads` work-stealing workers and return the
-/// results **in item order**, regardless of which thread ran what when.
+/// A driver's `--threads` value as a worker count: 0 means one per
+/// available core.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        available_threads()
+    } else {
+        threads
+    }
+}
+
+/// Map `f` over `items` on `threads` workers and return the results **in
+/// item order**, regardless of which thread ran what when.
 ///
 /// `f` receives the item's index alongside the item, so per-item work can
 /// derive deterministic per-item seeds or labels without threading them
-/// through the item type. With `threads ≤ 1` (or fewer than two items)
-/// the map runs inline on the calling thread.
+/// through the item type. `threads` of 0 means one per available core,
+/// and no more workers start than there are items; with one worker the
+/// map runs inline on the calling thread.
 ///
 /// # Panics
-/// Propagates panics from `f` (the scoped pool joins before returning).
+/// Re-raises the first panic from `f` (in worker order) with its own
+/// payload, once every worker has stopped.
 pub fn ordered_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
+    let threads = resolve_threads(threads).min(items.len());
+    if threads <= 1 {
         return items
             .into_iter()
             .enumerate()
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    let injector = Injector::new();
-    for task in items.into_iter().enumerate() {
-        injector.push(task);
-    }
-    let workers: Vec<Worker<(usize, T)>> =
-        (0..threads.min(n)).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = workers.iter().map(Worker::stealer).collect();
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for w in &workers {
-            let (injector, stealers, results, f) = (&injector, &stealers, &results, &f);
-            scope.spawn(move || {
-                // collect locally, merge once: the lock is taken exactly
-                // once per thread, not once per item
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let task = w
-                        .pop()
-                        .or_else(|| injector.steal_batch_and_pop(w).success())
-                        .or_else(|| stealers.iter().find_map(|s| s.steal().success()));
-                    match task {
-                        Some((i, t)) => local.push((i, f(i, t))),
-                        None => break,
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // the guard drops inside `claim`, so no worker holds it while `f` runs
+    let claim = || queue.lock().expect("claim queue").next();
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    while let Some((i, t)) = claim() {
+                        local.push((i, f(i, t)));
                     }
-                }
-                results.lock().expect("results mutex").append(&mut local);
-            });
-        }
+                    local
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect()
     });
-    let mut results = results.into_inner().expect("results mutex");
-    debug_assert_eq!(results.len(), n);
+    let mut results = Vec::new();
+    for local in joined {
+        results.extend(local.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+    }
     // the canonical merge order: item index, not completion order
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_item_order() {
-        for threads in [1, 2, 3, 8] {
+        for threads in [0, 1, 2, 3, 8] {
             let out = ordered_map_range(threads, 100, |i| i * i);
             assert_eq!(
                 out,
@@ -240,6 +240,35 @@ mod tests {
     #[test]
     fn more_threads_than_items_is_fine() {
         assert_eq!(ordered_map_range(64, 3, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn items_run_outside_the_claim_lock() {
+        // two items that each wait for the other finish only if both run
+        // at once — a claim guard held across `f` would serialize them
+        // and time out
+        let (txa, rxa) = std::sync::mpsc::channel();
+        let (txb, rxb) = std::sync::mpsc::channel();
+        let ends = Mutex::new(vec![(txa, rxb), (txb, rxa)]);
+        let out = ordered_map_range(2, 2, |i| {
+            let (tx, rx) = ends.lock().expect("ends").pop().expect("one end per item");
+            tx.send(()).expect("peer");
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .expect("peer item ran concurrently");
+            i
+        });
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 failed")]
+    fn worker_panics_keep_their_payload() {
+        ordered_map_range(2, 8, |i| {
+            if i == 3 {
+                panic!("item {i} failed");
+            }
+            i
+        });
     }
 
     #[test]

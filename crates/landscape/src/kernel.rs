@@ -19,6 +19,7 @@ use leonardo_rtl::bitslice::{
     LANE_INDEX_PLANES, SCORE_PLANES,
 };
 use leonardo_rtl::semantics::{Lit, Semantics, SeqCircuit};
+use std::ops::Range;
 
 /// Number of genomes scored per step of the classic 64-lane kernel.
 pub const BLOCK_GENOMES: u64 = LANES as u64;
@@ -137,6 +138,70 @@ impl BlockKernel {
     }
 }
 
+/// The fold every exhaustive driver runs over scored blocks: the exact
+/// per-level histogram, the exact max-set count, and the canonical
+/// sample of the max set — its smallest genomes, ascending, capped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    /// Genomes at each fitness level (index = fitness value; the last
+    /// level is the spec's maximum).
+    pub hist: Vec<u64>,
+    /// Exact count of genomes at the maximum level.
+    pub max_count: u64,
+    /// The smallest `max_count.min(cap)` maximal genomes, ascending.
+    pub samples: Vec<u64>,
+}
+
+impl Tally {
+    /// An empty tally over the levels `0..=spec.max_fitness()`.
+    pub fn new(spec: FitnessSpec) -> Tally {
+        Tally {
+            hist: vec![0; spec.max_fitness() as usize + 1],
+            max_count: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Score `blocks` through `kernel` and fold them in, keeping at most
+    /// `cap` samples. The blocks must lie above every genome already
+    /// folded, so the samples stay the ascending prefix.
+    pub fn fold_blocks(&mut self, kernel: &mut BlockKernel, blocks: Range<u64>, cap: usize) {
+        let top = self.hist.len() - 1;
+        // count on the stack: a tally may share cache lines with another
+        // thread's (the sweep's per-shard states), so the per-block loop
+        // must not store into it
+        let mut counts = [0u64; 1 << SCORE_PLANES];
+        for block in blocks {
+            let masks = score_masks(&kernel.score_block(block));
+            for (count, mask) in counts.iter_mut().zip(&masks) {
+                *count += u64::from(mask.count_ones());
+            }
+            let mut max_mask = masks[top];
+            while max_mask != 0 && self.samples.len() < cap {
+                self.samples
+                    .push(block * BLOCK_GENOMES + u64::from(max_mask.trailing_zeros()));
+                max_mask &= max_mask - 1;
+            }
+        }
+        for (slot, count) in self.hist.iter_mut().zip(counts) {
+            *slot += count;
+        }
+        self.max_count += counts[top];
+    }
+
+    /// Fold in a tally of genomes that all lie above this one's, keeping
+    /// at most `cap` samples. Absorbing in ascending order gives exactly
+    /// the tally one [`Tally::fold_blocks`] over the union would.
+    pub fn absorb(&mut self, later: &Tally, cap: usize) {
+        for (slot, &c) in self.hist.iter_mut().zip(&later.hist) {
+            *slot += c;
+        }
+        self.max_count += later.max_count;
+        let room = cap.saturating_sub(self.samples.len());
+        self.samples.extend(later.samples.iter().take(room));
+    }
+}
+
 /// Gate-level semantics of the kernel's per-genome function: what fitness
 /// does lane `lane` of block `block` receive? The genome the lane scores
 /// is assembled exactly the way [`BlockKernelW::score_block`] builds its
@@ -174,7 +239,7 @@ impl Semantics for BlockKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use discipulus::fitness::Rule;
+    use discipulus::fitness::{max_fitness_genomes, Rule};
     use discipulus::genome::Genome;
     use leonardo_rtl::bitslice::{W256, W512};
 
@@ -295,6 +360,43 @@ mod tests {
         for (l, &f) in got.iter().enumerate() {
             let g = Genome::from_bits(99 * BLOCK_GENOMES + l as u64);
             assert_eq!(f, spec.evaluate(g));
+        }
+    }
+
+    #[test]
+    fn tally_folds_the_lowest_max_set_window_whole_or_in_pieces() {
+        // no maximal genome lies below 2^28; the 64 blocks of
+        // 0x180db000..0x180dc000 hold the 14 lowest ones
+        let spec = FitnessSpec::paper();
+        let window = 0x180d_b000u64..0x180d_c000;
+        let mut want: Vec<u64> = max_fitness_genomes()
+            .map(Genome::bits)
+            .filter(|g| window.contains(g))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(want.len(), 14);
+        let mut hist = vec![0u64; spec.max_fitness() as usize + 1];
+        for g in window.clone() {
+            hist[spec.evaluate(Genome::from_bits(g)) as usize] += 1;
+        }
+        let blocks = window.start / BLOCK_GENOMES..window.end / BLOCK_GENOMES;
+        for cap in [5, 14, 100] {
+            let mut whole = Tally::new(spec);
+            whole.fold_blocks(&mut BlockKernel::new(spec), blocks.clone(), cap);
+            assert_eq!(whole.hist, hist, "cap {cap}");
+            assert_eq!(whole.max_count, 14, "cap {cap}");
+            assert_eq!(whole.samples, want[..cap.min(14)], "cap {cap}");
+            // uneven pieces, an empty one among them, absorbed in order
+            let mut pieced = Tally::new(spec);
+            let mut start = blocks.start;
+            for cut in [3, 4, 4, 21, 36, 50, 64] {
+                let mut piece = Tally::new(spec);
+                let end = blocks.start + cut;
+                piece.fold_blocks(&mut BlockKernel::new(spec), start..end, cap);
+                pieced.absorb(&piece, cap);
+                start = end;
+            }
+            assert_eq!(pieced, whole, "cap {cap}");
         }
     }
 

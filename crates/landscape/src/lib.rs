@@ -21,15 +21,17 @@
 //!   ([`leonardo_rtl::bitslice::consecutive_genome_planes`]), fed through
 //!   [`leonardo_rtl::bitslice::FitnessUnitX64`]'s carry-save score planes
 //!   and decoded into per-fitness-level lane masks — ~10 word ops per
-//!   genome, no transpose, no per-genome work at all;
+//!   genome, no transpose, no per-genome work at all — plus [`Tally`],
+//!   the one fold of those masks into a histogram and max-set sample
+//!   that the sweep and the server's oracle share;
 //! * [`shard`] — deterministic disjoint contiguous shards over the block
 //!   space (the unit of parallelism, checkpointing and resume);
-//! * [`sweep`] — the multi-threaded driver: workers claim shards from a
-//!   queue, accumulate per-shard histograms and max-set samples, and a
-//!   [`checkpoint`] file (versioned, checksummed, atomically replaced)
-//!   records mid-shard cursors so a killed sweep restarts where it left
-//!   off. Merged results are bit-identical for **any** shard count and
-//!   thread count.
+//! * [`sweep`] — the multi-threaded driver: shards fan out over
+//!   [`leonardo_exec::ordered_map_range`], each folding into its own
+//!   [`Tally`], and a [`checkpoint`] file (versioned, checksummed,
+//!   atomically replaced) records mid-shard cursors so a killed sweep
+//!   restarts where it left off. Merged results are bit-identical for
+//!   **any** shard count and thread count.
 //!
 //! The differential conformance suite in `tests/` pins the sweep kernel
 //! lane-by-lane to the scalar `discipulus` fitness function, the RTL
@@ -46,7 +48,7 @@ pub mod shard;
 pub mod sweep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW};
+pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW, Tally};
 pub use shard::{Shard, ShardPlan};
 pub use sweep::{LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus};
 

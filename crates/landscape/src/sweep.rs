@@ -1,13 +1,12 @@
 //! The sharded, multi-threaded, checkpointable sweep driver.
 //!
-//! Workers claim shards off a shared queue and walk them block by block
-//! through a private [`BlockKernel`], folding 64-lane score masks into a
-//! per-shard histogram and max-set sample list at **chunk** granularity
-//! (a few thousand blocks). Because every shard accumulates
-//! independently and the merge is a commutative fold over shards in
-//! index order, the final landscape is bit-identical for every shard
-//! count and thread count — parallelism can reorder the work but not the
-//! result (property-tested in `tests/`).
+//! Shards fan out over [`leonardo_exec::ordered_map_range`]; each is
+//! walked block by block through a fresh [`BlockKernel`], folding 64-lane
+//! score masks into the shard's [`Tally`] at **chunk** granularity (a few
+//! thousand blocks). Because every shard accumulates independently and
+//! the merge absorbs shards in index order, the final landscape is
+//! bit-identical for every shard count and thread count — parallelism can
+//! reorder the work but not the result (property-tested in `tests/`).
 //!
 //! Chunks are also the checkpoint and cancellation boundary: a
 //! [`StopToken`] interrupts the sweep between chunks, and the driver
@@ -16,15 +15,14 @@
 //! where a killed run stopped.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint};
-use crate::kernel::{score_masks, BlockKernel, BLOCK_GENOMES};
+use crate::kernel::{BlockKernel, Tally, BLOCK_GENOMES};
 use crate::shard::{ShardPlan, FULL_SUBSPACE_BITS};
 use discipulus::fitness::{FitnessSpec, FitnessValue};
 use discipulus::stats::FitnessHistogram;
 use leonardo_telemetry as tele;
-use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of one landscape sweep.
 #[derive(Debug, Clone)]
@@ -75,15 +73,6 @@ impl SweepConfig {
             checkpoint: None,
             checkpoint_every_blocks: 1 << 21,
         }
-    }
-
-    fn worker_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
     }
 
     fn weights(&self) -> (u32, u32, u32) {
@@ -168,9 +157,7 @@ struct ShardState {
     start_block: u64,
     end_block: u64,
     cursor: u64,
-    hist: Vec<u64>,
-    max_count: u64,
-    samples: Vec<u64>,
+    tally: Tally,
 }
 
 /// The merged outcome of a sweep (possibly partial, see
@@ -233,7 +220,6 @@ impl Sweep {
             "spec's maximum fitness exceeds the sliced score-plane width"
         );
         let plan = ShardPlan::new(config.subspace_bits, config.num_shards);
-        let levels = config.spec.max_fitness() as usize + 1;
         let states = plan
             .shards()
             .iter()
@@ -242,9 +228,7 @@ impl Sweep {
                     start_block: s.start_block,
                     end_block: s.end_block,
                     cursor: s.start_block,
-                    hist: vec![0; levels],
-                    max_count: 0,
-                    samples: Vec::new(),
+                    tally: Tally::new(config.spec),
                 })
             })
             .collect();
@@ -290,7 +274,7 @@ impl Sweep {
         let sweep = Sweep::new(config);
         let levels = sweep.config.spec.max_fitness() as usize + 1;
         for (state, saved) in sweep.states.iter().zip(&cp.shards) {
-            let mut st = state.lock();
+            let mut st = state.lock().expect("shard state");
             if saved.cursor < st.start_block || saved.cursor > st.end_block {
                 return mismatch(format!(
                     "shard {} cursor {} outside {}..{}",
@@ -305,9 +289,11 @@ impl Sweep {
                 ));
             }
             st.cursor = saved.cursor;
-            st.hist.copy_from_slice(&saved.hist);
-            st.max_count = saved.max_count;
-            st.samples = saved.samples.clone();
+            st.tally = Tally {
+                hist: saved.hist.clone(),
+                max_count: saved.max_count,
+                samples: saved.samples.clone(),
+            };
         }
         Ok(sweep)
     }
@@ -328,13 +314,13 @@ impl Sweep {
                 .iter()
                 .enumerate()
                 .map(|(index, state)| {
-                    let st = state.lock();
+                    let st = state.lock().expect("shard state");
                     ShardCheckpoint {
                         index,
                         cursor: st.cursor,
-                        max_count: st.max_count,
-                        hist: st.hist.clone(),
-                        samples: st.samples.clone(),
+                        max_count: st.tally.max_count,
+                        hist: st.tally.hist.clone(),
+                        samples: st.tally.samples.clone(),
                     }
                 })
                 .collect(),
@@ -345,14 +331,10 @@ impl Sweep {
     /// accumulates in place, so an interrupted sweep can be `run` again
     /// to continue in-process, or resumed from its checkpoint file later.
     pub fn run(&mut self, stop: &StopToken) -> SweepStatus {
-        let threads = self.config.worker_threads().min(self.states.len().max(1));
-        let next_shard = AtomicUsize::new(0);
         let since_checkpoint = AtomicU64::new(0);
         let checkpoint_lock = Mutex::new(());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| self.worker(&next_shard, stop, &since_checkpoint, &checkpoint_lock));
-            }
+        leonardo_exec::ordered_map_range(self.config.threads, self.states.len(), |idx| {
+            self.sweep_shard(idx, stop, &since_checkpoint, &checkpoint_lock);
         });
         let status = if stop.stopped() {
             SweepStatus::Interrupted
@@ -365,84 +347,50 @@ impl Sweep {
         status
     }
 
-    fn worker(
+    /// Sweep shard `idx` from its cursor to its end, chunk by chunk,
+    /// until `stop` fires.
+    fn sweep_shard(
         &self,
-        next_shard: &AtomicUsize,
+        idx: usize,
         stop: &StopToken,
         since_checkpoint: &AtomicU64,
         checkpoint_lock: &Mutex<()>,
     ) {
+        let state = &self.states[idx];
+        let (mut cursor, end) = {
+            let st = state.lock().expect("shard state");
+            (st.cursor, st.end_block)
+        };
         let mut kernel = BlockKernel::new(self.config.spec);
-        let levels = self.config.spec.max_fitness() as usize;
-        loop {
+        while cursor < end {
             if stop.stopped() {
                 return;
             }
-            let idx = next_shard.fetch_add(1, Ordering::Relaxed);
-            let Some(state) = self.states.get(idx) else {
-                return;
-            };
-            let (mut cursor, end) = {
-                let st = state.lock();
-                (st.cursor, st.end_block)
-            };
-            let mut chunk_hist = vec![0u64; levels + 1];
-            let mut chunk_samples: Vec<u64> = Vec::new();
-            while cursor < end {
-                if stop.stopped() {
-                    return;
-                }
-                let chunk_end = (cursor + self.config.chunk_blocks).min(end);
-                for slot in chunk_hist.iter_mut() {
-                    *slot = 0;
-                }
-                chunk_samples.clear();
-                let mut chunk_max = 0u64;
-                for block in cursor..chunk_end {
-                    let planes = kernel.score_block(block);
-                    let masks = score_masks(&planes);
-                    for (v, slot) in chunk_hist.iter_mut().enumerate() {
-                        *slot += u64::from(masks[v].count_ones());
-                    }
-                    let mut top = masks[levels];
-                    if top != 0 {
-                        chunk_max += u64::from(top.count_ones());
-                        while top != 0 {
-                            let lane = top.trailing_zeros() as u64;
-                            chunk_samples.push(block * BLOCK_GENOMES + lane);
-                            top &= top - 1;
-                        }
-                    }
-                }
-                {
-                    let mut st = state.lock();
-                    for (slot, &c) in st.hist.iter_mut().zip(&chunk_hist) {
-                        *slot += c;
-                    }
-                    st.max_count += chunk_max;
-                    // blocks ascend within a shard, so samples stay
-                    // sorted; the cap keeps the canonical low prefix
-                    let room = self.config.sample_cap.saturating_sub(st.samples.len());
-                    st.samples.extend(chunk_samples.iter().take(room).copied());
-                    st.cursor = chunk_end;
-                }
-                let chunk_len = chunk_end - cursor;
-                cursor = chunk_end;
-                stop.add_processed(chunk_len);
-                self.maybe_checkpoint(since_checkpoint, chunk_len, checkpoint_lock);
+            let chunk_end = (cursor + self.config.chunk_blocks).min(end);
+            {
+                // cursor and tally move together, so a checkpoint taken
+                // mid-run always sees a chunk boundary
+                let mut st = state.lock().expect("shard state");
+                st.tally
+                    .fold_blocks(&mut kernel, cursor..chunk_end, self.config.sample_cap);
+                st.cursor = chunk_end;
             }
-            if tele::enabled_at(tele::Level::Metric) {
-                let st = state.lock();
-                tele::emit(
-                    tele::Level::Metric,
-                    "landscape.shard",
-                    &[
-                        ("shard", idx.into()),
-                        ("blocks", (st.end_block - st.start_block).into()),
-                        ("max_count", st.max_count.into()),
-                    ],
-                );
-            }
+            let chunk_len = chunk_end - cursor;
+            cursor = chunk_end;
+            stop.add_processed(chunk_len);
+            self.maybe_checkpoint(since_checkpoint, chunk_len, checkpoint_lock);
+        }
+        if tele::enabled_at(tele::Level::Metric) {
+            let st = state.lock().expect("shard state");
+            tele::emit(
+                tele::Level::Metric,
+                "landscape.shard",
+                &[
+                    ("shard", idx.into()),
+                    ("blocks", (st.end_block - st.start_block).into()),
+                    ("max_count", st.tally.max_count.into()),
+                ],
+            );
         }
     }
 
@@ -460,7 +408,7 @@ impl Sweep {
             return;
         }
         // one writer at a time; whoever wins resets the counter
-        if let Some(_guard) = checkpoint_lock.try_lock() {
+        if let Ok(_guard) = checkpoint_lock.try_lock() {
             since_checkpoint.store(0, Ordering::Release);
             self.write_checkpoint();
         }
@@ -488,25 +436,20 @@ impl Sweep {
     /// bit-identical regardless of how the work was scheduled).
     pub fn result(&self) -> LandscapeResult {
         let spec = self.config.spec;
-        let mut histogram = FitnessHistogram::new(spec.max_fitness());
+        let mut tally = Tally::new(spec);
         let mut genomes_swept = 0u64;
-        let mut max_count = 0u64;
-        let mut max_samples = Vec::new();
         let mut complete = true;
         for state in &self.states {
-            let st = state.lock();
-            for (v, &c) in st.hist.iter().enumerate() {
-                histogram.record_n(v as FitnessValue, c);
-            }
+            let st = state.lock().expect("shard state");
+            tally.absorb(&st.tally, self.config.sample_cap);
             genomes_swept += (st.cursor - st.start_block) * BLOCK_GENOMES;
-            max_count += st.max_count;
-            if max_samples.len() < self.config.sample_cap {
-                let room = self.config.sample_cap - max_samples.len();
-                max_samples.extend(st.samples.iter().take(room).copied());
-            }
             complete &= st.cursor == st.end_block;
         }
-        debug_assert!(max_samples.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(tally.samples.windows(2).all(|w| w[0] < w[1]));
+        let mut histogram = FitnessHistogram::new(spec.max_fitness());
+        for (v, &c) in tally.hist.iter().enumerate() {
+            histogram.record_n(v as FitnessValue, c);
+        }
         LandscapeResult {
             subspace_bits: self.config.subspace_bits,
             shards: self.plan.len(),
@@ -514,8 +457,8 @@ impl Sweep {
             histogram,
             genomes_swept,
             max_fitness: spec.max_fitness(),
-            max_count,
-            max_samples,
+            max_count: tally.max_count,
+            max_samples: tally.samples,
             complete,
         }
     }
@@ -579,21 +522,6 @@ mod tests {
         let want = reference.result();
         assert_eq!(done.histogram.counts(), want.histogram.counts());
         assert_eq!(done.max_samples, want.max_samples);
-    }
-
-    #[test]
-    fn sample_cap_truncates_but_counts_exactly() {
-        let mut cfg = SweepConfig::subspace(12);
-        cfg.num_shards = 2;
-        cfg.threads = 1;
-        cfg.sample_cap = 3;
-        let mut sweep = Sweep::new(cfg);
-        sweep.run(&StopToken::never());
-        let r = sweep.result();
-        let (hist, max) = scalar_landscape(12);
-        assert_eq!(r.histogram.counts(), &hist[..]);
-        assert_eq!(r.max_count, max.len() as u64);
-        assert_eq!(r.max_samples, max[..3.min(max.len())].to_vec());
     }
 
     #[test]

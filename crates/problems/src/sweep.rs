@@ -47,8 +47,8 @@ struct ShardResult {
 }
 
 /// Exhaustively score genomes `0..2^subspace_bits` of `spec` through its
-/// width-`P` kernel over `num_shards` shards on `threads` work-stealing
-/// workers (0 = one per core).
+/// width-`P` kernel over `num_shards` shards on `threads` workers (0 =
+/// one per core).
 ///
 /// # Panics
 /// Panics if `subspace_bits` exceeds the problem width or the shard
@@ -67,15 +67,9 @@ pub fn subspace_sweep<P: KernelPlane>(
     );
     let plan = ShardPlan::new(subspace_bits, num_shards);
     let end = plan.total_genomes();
-    let threads = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
-    };
-    let partials =
-        leonardo_exec::ordered_map_range(threads.min(plan.len().max(1)), plan.len(), |i| {
-            sweep_shard::<P>(spec, &plan.shards()[i], end)
-        });
+    let partials = leonardo_exec::ordered_map_range(threads, plan.len(), |i| {
+        sweep_shard::<P>(spec, &plan.shards()[i], end)
+    });
     let mut histogram = vec![0u64; spec.max_fitness as usize + 1];
     let mut best: Option<(u32, u64)> = None;
     for p in partials {

@@ -4,20 +4,20 @@
 //! The PR 5 sweep engine proved the full 2³⁶ landscape computable in
 //! minutes; a server cannot spend minutes per request, so this module
 //! slices the space into fixed **chunks** of 2²² consecutive genomes
-//! (2¹⁶ blocks of 64) and memoises each chunk's summary — full fitness
-//! histogram, exact max-set count, and the canonical ascending prefix of
-//! max-set samples — in an LRU map. A `bits=K` query for `K ≥ 22` folds
-//! the `2^(K-22)` chunk summaries in ascending chunk order, so the merge
-//! is bit-identical no matter which chunks were cached; smaller
-//! subspaces are cheap enough to score directly. Answers are exact —
-//! the cache changes latency, never bytes (a golden test pins this).
+//! (2¹⁶ blocks of 64) and memoises each chunk's [`Tally`] — the sweep
+//! driver's own fold: full fitness histogram, exact max-set count, and
+//! the canonical ascending prefix of max-set samples — in an LRU map. A
+//! `bits=K` query for `K ≥ 22` absorbs the `2^(K-22)` chunk tallies in
+//! ascending chunk order, so the merge is bit-identical no matter which
+//! chunks were cached; smaller subspaces are cheap enough to score
+//! directly. Answers are exact — the cache changes latency, never bytes
+//! (a golden test pins this).
 
 use discipulus::fitness::FitnessSpec;
-use leonardo_landscape::kernel::{score_masks, BlockKernel, BLOCK_GENOMES};
-use parking_lot::Mutex;
+use leonardo_landscape::kernel::{BlockKernel, Tally, BLOCK_GENOMES};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// log2 of the genomes per cached chunk.
 pub const CHUNK_GENOME_BITS: u32 = 22;
@@ -29,18 +29,6 @@ pub const CHUNK_BLOCKS: u64 = 1 << (CHUNK_GENOME_BITS - 6);
 pub const CHUNK_SAMPLE_CAP: usize = 256;
 /// Max-set samples included in a response.
 pub const RESPONSE_SAMPLE_CAP: usize = 32;
-
-/// The memoised summary of one 2²²-genome chunk.
-#[derive(Debug, Clone)]
-pub struct ChunkSummary {
-    /// Genomes at each fitness level, exact.
-    pub hist: Vec<u64>,
-    /// Exact count of maximal-fitness genomes in the chunk.
-    pub max_count: u64,
-    /// The smallest `max_count.min(CHUNK_SAMPLE_CAP)` maximal genomes,
-    /// ascending.
-    pub samples: Vec<u64>,
-}
 
 /// One answered subspace query.
 #[derive(Debug, Clone)]
@@ -71,7 +59,7 @@ pub struct LandscapeOracle {
 
 #[derive(Default)]
 struct LruCache {
-    map: HashMap<u64, (u64, Arc<ChunkSummary>)>,
+    map: HashMap<u64, (u64, Arc<Tally>)>,
     clock: u64,
 }
 
@@ -99,7 +87,13 @@ impl LandscapeOracle {
 
     /// Chunk summaries currently cached.
     pub fn cached_chunks(&self) -> usize {
-        self.cache.lock().map.len()
+        self.lock_cache().map.len()
+    }
+
+    /// Lock the chunk cache, recovering it if a request panicked while
+    /// holding it: the cache outlives any one request.
+    fn lock_cache(&self) -> MutexGuard<'_, LruCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Exact landscape of the `2^bits` subspace (genomes `0..2^bits`).
@@ -109,43 +103,30 @@ impl LandscapeOracle {
     /// before calling).
     pub fn subspace(&self, bits: u32) -> SubspaceAnswer {
         assert!((6..=36).contains(&bits), "subspace bits out of range");
-        let levels = self.spec.max_fitness() as usize + 1;
-        let mut hist = vec![0u64; levels];
-        let mut max_count = 0u64;
-        let mut samples: Vec<u64> = Vec::new();
+        let mut tally = Tally::new(self.spec);
         if bits < CHUNK_GENOME_BITS {
             // small subspace: score its blocks directly, no cache
-            let mut kernel = BlockKernel::new(self.spec);
-            accumulate_blocks(
-                &mut kernel,
-                0,
-                1 << (bits - 6),
-                &mut hist,
-                &mut max_count,
-                &mut samples,
+            let blocks = 0..1 << (bits - 6);
+            tally.fold_blocks(
+                &mut BlockKernel::new(self.spec),
+                blocks,
                 RESPONSE_SAMPLE_CAP,
             );
         } else {
+            // chunks absorb in ascending order and each holds its own
+            // ascending prefix, so the kept samples are the canonical
+            // global prefix
             for chunk in 0..1u64 << (bits - CHUNK_GENOME_BITS) {
-                let summary = self.chunk(chunk);
-                for (slot, &c) in hist.iter_mut().zip(&summary.hist) {
-                    *slot += c;
-                }
-                max_count += summary.max_count;
-                // chunks fold in ascending order and each holds its own
-                // ascending prefix, so the first RESPONSE_SAMPLE_CAP of
-                // the concatenation is the canonical global prefix
-                let room = RESPONSE_SAMPLE_CAP.saturating_sub(samples.len());
-                samples.extend(summary.samples.iter().take(room).copied());
+                tally.absorb(&self.chunk(chunk), RESPONSE_SAMPLE_CAP);
             }
         }
         SubspaceAnswer {
             bits,
             genomes: 1 << bits,
-            hist,
+            hist: tally.hist,
             max_fitness: self.spec.max_fitness(),
-            max_count,
-            samples,
+            max_count: tally.max_count,
+            samples: tally.samples,
         }
     }
 
@@ -160,9 +141,9 @@ impl LandscapeOracle {
     }
 
     /// The summary of chunk `chunk`, from cache or computed.
-    fn chunk(&self, chunk: u64) -> Arc<ChunkSummary> {
+    fn chunk(&self, chunk: u64) -> Arc<Tally> {
         {
-            let mut cache = self.cache.lock();
+            let mut cache = self.lock_cache();
             cache.clock += 1;
             let clock = cache.clock;
             if let Some((stamp, summary)) = cache.map.get_mut(&chunk) {
@@ -175,8 +156,11 @@ impl LandscapeOracle {
         // work on the same cold chunk, but never block each other on a
         // ~10ms kernel sweep
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let summary = Arc::new(self.compute_chunk(chunk));
-        let mut cache = self.cache.lock();
+        let mut summary = Tally::new(self.spec);
+        let blocks = chunk * CHUNK_BLOCKS..(chunk + 1) * CHUNK_BLOCKS;
+        summary.fold_blocks(&mut BlockKernel::new(self.spec), blocks, CHUNK_SAMPLE_CAP);
+        let summary = Arc::new(summary);
+        let mut cache = self.lock_cache();
         cache.clock += 1;
         let clock = cache.clock;
         cache.map.insert(chunk, (clock, Arc::clone(&summary)));
@@ -191,56 +175,6 @@ impl LandscapeOracle {
             }
         }
         summary
-    }
-
-    fn compute_chunk(&self, chunk: u64) -> ChunkSummary {
-        let levels = self.spec.max_fitness() as usize + 1;
-        let mut hist = vec![0u64; levels];
-        let mut max_count = 0u64;
-        let mut samples = Vec::new();
-        let mut kernel = BlockKernel::new(self.spec);
-        accumulate_blocks(
-            &mut kernel,
-            chunk * CHUNK_BLOCKS,
-            (chunk + 1) * CHUNK_BLOCKS,
-            &mut hist,
-            &mut max_count,
-            &mut samples,
-            CHUNK_SAMPLE_CAP,
-        );
-        ChunkSummary {
-            hist,
-            max_count,
-            samples,
-        }
-    }
-}
-
-/// Score blocks `start..end` into the accumulators (the same fold the
-/// sweep driver's workers perform, at request granularity).
-fn accumulate_blocks(
-    kernel: &mut BlockKernel,
-    start: u64,
-    end: u64,
-    hist: &mut [u64],
-    max_count: &mut u64,
-    samples: &mut Vec<u64>,
-    sample_cap: usize,
-) {
-    let top = hist.len() - 1;
-    for block in start..end {
-        let planes = kernel.score_block(block);
-        let masks = score_masks(&planes);
-        for (v, slot) in hist.iter_mut().enumerate() {
-            *slot += u64::from(masks[v].count_ones());
-        }
-        let mut max_mask = masks[top];
-        *max_count += u64::from(max_mask.count_ones());
-        while max_mask != 0 && samples.len() < sample_cap {
-            let lane = max_mask.trailing_zeros() as u64;
-            samples.push(block * BLOCK_GENOMES + lane);
-            max_mask &= max_mask - 1;
-        }
     }
 }
 
