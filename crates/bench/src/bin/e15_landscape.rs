@@ -4,9 +4,9 @@
 //! chip about 19 hours; the GA finds one of the maximal genomes in
 //! minutes. This experiment sweeps the entire landscape (or a
 //! `--subspace-bits` prefix of it) through the bit-parallel block kernel
-//! — 64 consecutive genomes per step — and reports the exact fitness
-//! histogram, the exact cardinality of the maximum-fitness set, and a
-//! canonical sample of it.
+//! — 512 consecutive genomes per step (`SweepPlane`) — and reports the
+//! exact fitness histogram, the exact cardinality of the maximum-fitness
+//! set, and a canonical sample of it.
 //!
 //! Cross-checks wired in:
 //! * the exhaustive max set must match the analytic
@@ -30,7 +30,8 @@ use discipulus::params::GapParams;
 use leonardo_bench::harness::{arg_or, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, ExperimentSession, Verdict};
 use leonardo_landscape::{
-    LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus, FULL_SWEEP_MAX_SET,
+    BlockKernelW, LandscapeResult, StopToken, Sweep, SweepConfig, SweepPlane, SweepStatus,
+    FULL_SWEEP_MAX_SET,
 };
 use leonardo_telemetry::LandscapeRow;
 use std::time::Instant;
@@ -124,6 +125,7 @@ fn main() {
     };
     let threads = leonardo_exec::resolve_threads(config.threads);
     session.set_threads(threads);
+    session.set_plane_width(BlockKernelW::<SweepPlane>::GENOMES_PER_BLOCK as usize);
 
     println!(
         "E15: exhaustive landscape sweep of 2^{subspace_bits} genomes \

@@ -8,11 +8,20 @@
 //! writes the measured simulated-cycle throughput of every cell as JSON
 //! (`cycles_per_sec` and `cycles_per_sec_per_core`).
 //!
+//! The scalar reference runs its trials over every core (the `scalar`
+//! cell records that thread count), so "speedup vs scalar" compares
+//! like thread counts only where the matrix cell's `threads` matches.
+//!
 //! The GA engine interleaves plane arithmetic with per-lane work (draw
 //! extraction, score gathers), so the report also times the *pure*
 //! plane kernel — the landscape block scorer, which is bit-slice
 //! arithmetic end to end — at every width. That row is where wider
-//! planes show their raw autovectorized speedup.
+//! planes show their raw autovectorized speedup. Beside it, the fold
+//! row times what the exhaustive sweep actually runs per shard —
+//! `Tally::fold_blocks` in the sweep's chunks, kernel plus subset
+//! popcounts — at every width, after asserting every width's tally
+//! equals the `u64` one. The sweep's width (`SweepPlane`) is chosen from
+//! that row.
 //!
 //! Alongside the JSON it writes a versioned run manifest
 //! (`<out>.manifest.json`, schema v4 with `host_cores`/`plane_width`/
@@ -26,7 +35,8 @@ use discipulus::fitness::FitnessSpec;
 use leonardo_bench::harness::{
     arg_or, engine_label, rtl_convergence_batch_w, rtl_convergence_scalar, trial_seeds, RtlTrial,
 };
-use leonardo_landscape::BlockKernelW;
+use leonardo_landscape::kernel::BLOCK_GENOMES;
+use leonardo_landscape::{BlockKernelW, SweepConfig, SweepPlane, Tally};
 use leonardo_rtl::bitslice::{Plane, W128, W256, W512};
 use leonardo_telemetry::{host_cores, RunManifest};
 use std::time::Instant;
@@ -134,6 +144,45 @@ fn measure_kernel<P: Plane>(reps: usize, genomes: u64) -> (f64, f64) {
     (wall, (blocks * P::LANES as u64) as f64 / wall)
 }
 
+/// The first genome of the fold row's window: `3·2²⁷` lies just below
+/// the lowest maximal genome (`0x180db0d8`), so the bit-identity check
+/// covers the max-set samples as well as the histogram.
+const FOLD_FIRST_GENOME: u64 = 0x1800_0000;
+
+/// The sweep's fold (`Tally::fold_blocks`) over `genomes` consecutive
+/// genomes from [`FOLD_FIRST_GENOME`], walked in the sweep's chunks on
+/// one thread through one reused kernel, the way a sweep shard walks its
+/// range.
+fn fold_window<P: Plane>(genomes: u64) -> Tally {
+    let config = SweepConfig::full();
+    let first = FOLD_FIRST_GENOME / BLOCK_GENOMES;
+    let end = first + genomes / BLOCK_GENOMES;
+    let mut kernel = BlockKernelW::<P>::new(config.spec);
+    let mut tally = Tally::new(config.spec);
+    let mut start = first;
+    while start < end {
+        let chunk_end = (start + config.chunk_blocks).min(end);
+        tally.fold_blocks(&mut kernel, start..chunk_end, config.sample_cap);
+        start = chunk_end;
+    }
+    tally
+}
+
+/// `(lanes, wall, genomes folded per second)` at one width, after
+/// asserting (untimed) that the width's tally equals `reference`, the
+/// `u64` tally.
+fn measure_fold<P: Plane>(reps: usize, genomes: u64, reference: &Tally) -> (usize, f64, f64) {
+    assert_eq!(
+        &fold_window::<P>(genomes),
+        reference,
+        "{} fold diverged from the u64 tally",
+        P::NAME
+    );
+    let (wall, tally) = best_of(reps, || fold_window::<P>(std::hint::black_box(genomes)));
+    std::hint::black_box(tally);
+    (P::LANES, wall, genomes as f64 / wall)
+}
+
 fn main() {
     let trials: usize = arg_or("--trials", 1024);
     let max_gens: u64 = arg_or("--max-gens", 30_000);
@@ -152,12 +201,14 @@ fn main() {
         "perf_report: {trials} trials x {reps} reps, {cores} cores, threads {thread_sweep:?}"
     );
 
+    // `rtl_convergence_scalar` fans its trials out over every core
+    let scalar_threads = leonardo_exec::resolve_threads(0).min(seeds.len());
     let (scalar_wall, scalar) = best_of(reps, || rtl_convergence_scalar(&seeds, max_gens));
     let cycles: u64 = scalar.iter().map(|t| t.cycles).sum();
     let scalar_rate = cycles as f64 / scalar_wall;
     let converged = scalar.iter().filter(|t| t.converged).count();
     eprintln!(
-        "  scalar ref {scalar_wall:>9.3}s  {:>6.3}G cycles/s",
+        "  scalar ref x{scalar_threads:<2} {scalar_wall:>9.3}s  {:>6.3}G cycles/s",
         scalar_rate / 1e9
     );
 
@@ -209,6 +260,25 @@ fn main() {
         .max_by(|a, b| a.2.total_cmp(&b.2))
         .expect("kernel rows non-empty");
 
+    // the sweep's fold: same genome count per width, one thread
+    let fold_genomes: u64 = 1 << 26;
+    eprintln!("fold ({fold_genomes} genomes each, 1 thread):");
+    let reference = fold_window::<u64>(fold_genomes);
+    let fold_rows = [
+        measure_fold::<u64>(reps, fold_genomes, &reference),
+        measure_fold::<W128>(reps, fold_genomes, &reference),
+        measure_fold::<W256>(reps, fold_genomes, &reference),
+        measure_fold::<W512>(reps, fold_genomes, &reference),
+    ];
+    for &(lanes, wall, rate) in &fold_rows {
+        eprintln!("  w{lanes:<4} {wall:>9.3}s  {:>7.1}M genomes/s", rate / 1e6);
+    }
+    let fold_u64 = fold_rows[0].2;
+    let fold_best = fold_rows
+        .iter()
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("fold rows non-empty");
+
     let matrix_json = matrix
         .iter()
         .map(|c| format!("    {}", c.to_json()))
@@ -225,17 +295,32 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let fold_json = fold_rows
+        .iter()
+        .map(|(lanes, wall, rate)| {
+            format!(
+                "    {{ \"plane_width\": {lanes}, \"wall_seconds\": {wall:.6}, \
+                 \"fold_genomes_per_sec\": {rate:.0}, \"speedup_vs_u64\": {:.3} }}",
+                rate / fold_u64
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
         "{{\n  \"bench\": \"rtl_width_threads_matrix\",\n  \
          \"trials\": {trials},\n  \"converged\": {converged},\n  \
          \"max_generations\": {max_gens},\n  \"reps\": {reps},\n  \
          \"host_cores\": {cores},\n  \"simulated_cycles\": {cycles},\n  \
-         \"scalar\": {{ \"wall_seconds\": {scalar_wall:.6}, \"cycles_per_sec\": {scalar_rate:.0} }},\n  \
+         \"scalar\": {{ \"threads\": {scalar_threads}, \"wall_seconds\": {scalar_wall:.6}, \
+         \"cycles_per_sec\": {scalar_rate:.0} }},\n  \
          \"matrix\": [\n{matrix_json}\n  ],\n  \
          \"best\": {{ \"engine\": \"{}\", \"plane_width\": {}, \"threads\": {}, \
          \"cycles_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.3}, \"speedup_vs_u64_t1\": {:.3} }},\n  \
          \"plane_kernel\": {{\n  \"genomes\": {kernel_genomes},\n  \"widths\": [\n{kernel_json}\n  ],\n  \
-         \"best_plane_width\": {},\n  \"best_speedup_vs_u64\": {:.3}\n  }}\n}}\n",
+         \"best_plane_width\": {},\n  \"best_speedup_vs_u64\": {:.3}\n  }},\n  \
+         \"fold\": {{\n  \"genomes\": {fold_genomes},\n  \"first_genome\": {FOLD_FIRST_GENOME},\n  \
+         \"chunk_blocks\": {},\n  \"threads\": 1,\n  \"widths\": [\n{fold_json}\n  ],\n  \
+         \"best_plane_width\": {},\n  \"sweep_plane_width\": {}\n  }}\n}}\n",
         best.engine,
         best.plane_width,
         best.threads,
@@ -244,6 +329,9 @@ fn main() {
         best.cycles_per_sec / u64_t1.cycles_per_sec,
         kernel_best.0,
         kernel_best.2 / kernel_u64,
+        SweepConfig::full().chunk_blocks,
+        fold_best.0,
+        SweepPlane::LANES,
     );
     std::fs::write(&out, &json).expect("write report");
     println!("{json}");
@@ -253,6 +341,7 @@ fn main() {
         .with_param("trials", trials as f64)
         .with_param("max_generations", max_gens as f64)
         .with_param("reps", reps as f64)
+        .with_param("scalar_threads", scalar_threads as f64)
         .with_param("scalar_wall_seconds", scalar_wall)
         .with_param("best_cycles_per_sec", best.cycles_per_sec)
         .with_param("speedup_vs_scalar", best.cycles_per_sec / scalar_rate)
@@ -260,7 +349,8 @@ fn main() {
             "speedup_vs_u64_t1",
             best.cycles_per_sec / u64_t1.cycles_per_sec,
         )
-        .with_param("kernel_best_speedup_vs_u64", kernel_best.2 / kernel_u64);
+        .with_param("kernel_best_speedup_vs_u64", kernel_best.2 / kernel_u64)
+        .with_param("fold_best_plane_width", fold_best.0 as f64);
     manifest.seeds = seeds.iter().map(|&s| u64::from(s)).collect();
     manifest.threads = best.threads as u64;
     manifest.plane_width = best.plane_width as u64;

@@ -1,6 +1,6 @@
 //! The bit-parallel block kernel: one [`Plane`] of consecutive genomes
-//! per step (64 on the classic `u64` kernel, up to 512 on
-//! [`W512`](leonardo_rtl::bitslice::W512)).
+//! per step (64 on the classic `u64` kernel, up to 512 on [`W512`]), and
+//! [`Tally`], the one fold every exhaustive driver runs over it.
 //!
 //! An aligned block of `P::LANES` consecutive genomes differs only in the
 //! low lane-index bits. Transposed, the block is a handful of fixed
@@ -8,15 +8,22 @@
 //! network's input costs a couple of plane stores per block (amortized:
 //! advancing the base by one block flips two high bits on average, and
 //! only flipped bits rewrite their plane). The sliced network then
-//! produces five carry-save score planes, and a 32-leaf mask tree decodes
-//! them into one lane mask per fitness value — `popcount` on those masks
-//! is the histogram, and the max-level mask names the maximal genomes.
+//! produces five carry-save score planes. [`Tally::fold_blocks`] turns
+//! them into the histogram with one AND and one `popcount` per subset of
+//! the five score bits, inverted into exact per-level counts once per
+//! call, and reads the maximal genomes off the lanes that score the
+//! maximum. [`score_masks`] is the per-level decode of the same planes:
+//! one lane mask per fitness value.
+//!
+//! The sweep and the server oracle fold at [`SweepPlane`]; the `u64`
+//! [`BlockKernel`] is the kernel the SAT miter proves and the one point
+//! queries use.
 
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{GENOME_BITS, GENOME_MASK};
 use leonardo_rtl::bitslice::{
     consecutive_genome_planes_w, lane_score_lits, FitnessUnitXW, Plane, LANES, LANE_BITS,
-    LANE_INDEX_PLANES, SCORE_PLANES,
+    LANE_INDEX_PLANES, SCORE_PLANES, W512,
 };
 use leonardo_rtl::semantics::{Lit, Semantics, SeqCircuit};
 use std::ops::Range;
@@ -63,8 +70,19 @@ pub struct BlockKernelW<P: Plane> {
     base: u64,
 }
 
-/// The classic 64-genomes-per-step kernel.
+/// The classic 64-genomes-per-step kernel: the one the SAT miter proves,
+/// and the point-query kernel.
 pub type BlockKernel = BlockKernelW<u64>;
+
+/// The plane width every exhaustive fold runs at: the sweep's shards and
+/// the server oracle's chunks go through `BlockKernelW<SweepPlane>`.
+///
+/// Chosen from the fold, which is what a sweep runs, not from the pure
+/// kernel. `perf_report`'s fold row (one thread, 2²⁶ genomes in
+/// 4096-block chunks, 2-core AVX-512 host, medians of three runs)
+/// measured 1.19 / 1.52 / 2.43 / 3.87 G genomes/s at u64 / W128 / W256 /
+/// W512; the pure kernel row read 1.39 / 2.42 / 4.60 / 6.94.
+pub type SweepPlane = W512;
 
 impl<P: Plane> BlockKernelW<P> {
     /// Number of genomes scored per kernel step at this width.
@@ -162,31 +180,118 @@ impl Tally {
         }
     }
 
-    /// Score `blocks` through `kernel` and fold them in, keeping at most
-    /// `cap` samples. The blocks must lie above every genome already
-    /// folded, so the samples stay the ascending prefix.
-    pub fn fold_blocks(&mut self, kernel: &mut BlockKernel, blocks: Range<u64>, cap: usize) {
+    /// Score the 64-genome blocks `blocks` through `kernel` and fold them
+    /// in, keeping at most `cap` samples. The blocks must lie above every
+    /// genome already folded, so the samples stay the ascending prefix.
+    ///
+    /// `blocks` counts [`BLOCK_GENOMES`]-genome blocks at every width, so
+    /// shard plans, checkpoint cursors and chunk sizes mean the same
+    /// whatever `P` is. The range is scored in the `P::LANES`-genome
+    /// blocks that contain it; where it starts or ends inside one, the
+    /// limbs outside the range are masked off before anything is counted
+    /// or sampled. Lane `l` of a wide block is genome `base + l`, so the
+    /// samples a wide block adds are still ascending.
+    ///
+    /// The histogram is counted without decoding a mask per level: for
+    /// every subset `s` of the five score bits, each block adds the
+    /// number of lanes whose score has every bit of `s` set (one AND and
+    /// one popcount per subset), and a Möbius inversion over the score
+    /// bits turns those counts into exact per-level counts once per call.
+    pub fn fold_blocks<P: Plane>(
+        &mut self,
+        kernel: &mut BlockKernelW<P>,
+        blocks: Range<u64>,
+        cap: usize,
+    ) {
         let top = self.hist.len() - 1;
+        let limbs = P::WORDS as u64;
         // count on the stack: a tally may share cache lines with another
         // thread's (the sweep's per-shard states), so the per-block loop
-        // must not store into it
-        let mut counts = [0u64; 1 << SCORE_PLANES];
-        for block in blocks {
-            let masks = score_masks(&kernel.score_block(block));
-            for (count, mask) in counts.iter_mut().zip(&masks) {
-                *count += u64::from(mask.count_ones());
-            }
-            let mut max_mask = masks[top];
-            while max_mask != 0 && self.samples.len() < cap {
-                self.samples
-                    .push(block * BLOCK_GENOMES + u64::from(max_mask.trailing_zeros()));
-                max_mask &= max_mask - 1;
+        // must not store into it. Limb `w` of `covered[s]` counts limb
+        // `w`'s lanes only, so the per-block update is elementwise.
+        let mut covered = [P::ZERO; 1 << SCORE_PLANES];
+        // `top` as per-plane XOR masks: lane `l` scores `top` iff every
+        // `planes[p] ^ flip[p]` has lane `l` set
+        let flip: [P; SCORE_PLANES] = core::array::from_fn(|p| P::splat(top >> p & 1 == 0));
+        for wide in blocks.start / limbs..blocks.end.div_ceil(limbs) {
+            let planes = kernel.score_block(wide);
+            let first = wide * limbs;
+            // two call sites, so the interior one folds a constant
+            // all-lanes `keep` away (a runtime `keep` costs ~40% there)
+            if first < blocks.start || first + limbs > blocks.end {
+                let keep = P::from_words(|w| {
+                    0u64.wrapping_sub(u64::from(blocks.contains(&(first + w as u64))))
+                });
+                self.fold_block(&mut covered, &planes, keep, first, &flip, cap);
+            } else {
+                self.fold_block(&mut covered, &planes, P::ONES, first, &flip, cap);
             }
         }
-        for (slot, count) in self.hist.iter_mut().zip(counts) {
+        // "every bit of s set" -> "exactly s": peel one score bit at a time
+        let mut exact: [u64; 1 << SCORE_PLANES] =
+            core::array::from_fn(|s| (0..P::WORDS).map(|w| covered[s].word(w)).sum());
+        for p in 0..SCORE_PLANES {
+            for s in 0..exact.len() {
+                if s >> p & 1 == 0 {
+                    exact[s] -= exact[s | 1 << p];
+                }
+            }
+        }
+        for (slot, count) in self.hist.iter_mut().zip(exact) {
             *slot += count;
         }
-        self.max_count += counts[top];
+        self.max_count += exact[top];
+    }
+
+    /// Count the `keep` lanes of one scored wide block into `covered`
+    /// (see [`Tally::fold_blocks`]) and sample its max-level lanes; the
+    /// block's limb `w` is 64-genome block `first + w`.
+    #[inline(always)]
+    fn fold_block<P: Plane>(
+        &mut self,
+        covered: &mut [P; 1 << SCORE_PLANES],
+        planes: &[P; SCORE_PLANES],
+        keep: P,
+        first: u64,
+        flip: &[P; SCORE_PLANES],
+        cap: usize,
+    ) {
+        // `subsets[s]`: the kept lanes whose score has every bit of `s`
+        // set. An index loop: LLVM unrolls it into register ANDs, but
+        // not the same loop over `planes.iter().enumerate()`.
+        let mut subsets = [keep; 1 << SCORE_PLANES];
+        for p in 0..SCORE_PLANES {
+            for s in 0..1 << p {
+                subsets[s | 1 << p] = subsets[s] & planes[p];
+            }
+        }
+        for (count, subset) in covered.iter_mut().zip(&subsets) {
+            *count = P::from_words(|w| count.word(w) + u64::from(subset.word(w).count_ones()));
+        }
+        // the max level's lanes (not `subsets[top]`: a runtime index
+        // would pin `subsets` to the stack)
+        let max_lanes = planes
+            .iter()
+            .zip(flip)
+            .fold(keep, |lanes, (&plane, &flip)| lanes & (plane ^ flip));
+        if !max_lanes.is_zero() && self.samples.len() < cap {
+            self.push_samples(max_lanes, first, cap);
+        }
+    }
+
+    /// Append the genomes of `lanes` (limb `w` is 64-genome block
+    /// `first + w`) to the samples, ascending, up to `cap`. Rare: the max
+    /// set is 86 436 of 2³⁶ genomes.
+    #[cold]
+    fn push_samples<P: Plane>(&mut self, lanes: P, first: u64, cap: usize) {
+        for w in 0..P::WORDS {
+            let mut limb = lanes.word(w);
+            while limb != 0 && self.samples.len() < cap {
+                self.samples
+                    .push((first + w as u64) * BLOCK_GENOMES + u64::from(limb.trailing_zeros()));
+                limb &= limb - 1;
+            }
+        }
     }
 
     /// Fold in a tally of genomes that all lie above this one's, keeping
@@ -211,9 +316,14 @@ impl Tally {
 /// base bit itself). The analysis gate miters this against the scalar
 /// `FitnessUnit` to prove the whole 2³⁶ sweep scores every genome with
 /// the specified function — including that the plane tables are right.
-/// (The wide kernels reduce to the same function with the extra lane bits
-/// folded into the block index, which is what the per-width probes in
-/// `plane_registry` pin.)
+/// The proof covers the `u64` kernel only. The wide kernels, the sweep's
+/// [`SweepPlane`] among them, reduce to the same function with the extra
+/// lane bits folded into the block index: every `analysis check` runs the
+/// per-width `plane_registry` probes, which score aligned consecutive
+/// blocks through `FitnessUnitXW::evaluate_consecutive_planes` lane by
+/// lane against the spec, and the unit tests pin each wide
+/// [`BlockKernelW::score_block`], incremental plane rewrite included, to
+/// this kernel.
 impl Semantics for BlockKernel {
     fn semantics(&self) -> SeqCircuit {
         let mut sc = SeqCircuit::new("block_kernel");
@@ -241,7 +351,7 @@ mod tests {
     use super::*;
     use discipulus::fitness::{max_fitness_genomes, Rule};
     use discipulus::genome::Genome;
-    use leonardo_rtl::bitslice::{W256, W512};
+    use leonardo_rtl::bitslice::{W128, W256};
 
     #[test]
     fn score_masks_partition_all_lanes() {
@@ -331,25 +441,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide_blocks_match_the_64_lane_kernel() {
+    /// Wide blocks of width `P` against the 64-lane kernel, one narrow
+    /// block per limb.
+    fn check_wide_blocks_against_narrow<P: Plane>() {
         let mut narrow = BlockKernel::new(FitnessSpec::paper());
-        let mut wide = BlockKernelW::<W512>::new(FitnessSpec::paper());
-        // one wide block covers 8 consecutive narrow blocks; exercise the
-        // incremental path with a sequential pair and a far jump
-        let wide_blocks = [0u64, 1, 0x40_0000, BlockKernelW::<W512>::BLOCKS - 1];
-        let mut got = vec![0u32; 512];
-        for &wb in &wide_blocks {
+        let mut wide = BlockKernelW::<P>::new(FitnessSpec::paper());
+        let limbs = P::WORDS as u64;
+        // a sequential pair and far jumps, then a sequential run across
+        // the longest trailing carry (the step to the upper half of the
+        // space flips every broadcast plane), so `score_block`'s
+        // incremental plane rewrite runs at this width
+        let carry = BlockKernelW::<P>::BLOCKS / 2;
+        let wide_blocks = [0u64, 1, 0x40_0000, BlockKernelW::<P>::BLOCKS - 1]
+            .into_iter()
+            .chain(carry - 3..carry + 3);
+        let mut got = vec![0u32; P::LANES];
+        for wb in wide_blocks {
             wide.block_fitness_into(wb, &mut got);
-            for nb in 0..8u64 {
-                let narrow_scores = narrow.block_fitness(wb * 8 + nb);
+            for nb in 0..limbs {
+                let narrow_scores = narrow.block_fitness(wb * limbs + nb);
                 assert_eq!(
                     &got[64 * nb as usize..64 * (nb + 1) as usize],
                     &narrow_scores[..],
-                    "wide block {wb:#x} narrow sub-block {nb}"
+                    "{}: wide block {wb:#x} narrow sub-block {nb}",
+                    P::NAME
                 );
             }
         }
+    }
+
+    #[test]
+    fn wide_blocks_match_the_64_lane_kernel() {
+        check_wide_blocks_against_narrow::<W128>();
+        check_wide_blocks_against_narrow::<W256>();
+        check_wide_blocks_against_narrow::<W512>();
     }
 
     #[test]
@@ -381,23 +506,41 @@ mod tests {
         }
         let blocks = window.start / BLOCK_GENOMES..window.end / BLOCK_GENOMES;
         for cap in [5, 14, 100] {
-            let mut whole = Tally::new(spec);
-            whole.fold_blocks(&mut BlockKernel::new(spec), blocks.clone(), cap);
+            let (whole, pieced) = fold_window::<u64>(spec, blocks.clone(), cap);
             assert_eq!(whole.hist, hist, "cap {cap}");
             assert_eq!(whole.max_count, 14, "cap {cap}");
             assert_eq!(whole.samples, want[..cap.min(14)], "cap {cap}");
-            // uneven pieces, an empty one among them, absorbed in order
-            let mut pieced = Tally::new(spec);
-            let mut start = blocks.start;
-            for cut in [3, 4, 4, 21, 36, 50, 64] {
-                let mut piece = Tally::new(spec);
-                let end = blocks.start + cut;
-                piece.fold_blocks(&mut BlockKernel::new(spec), start..end, cap);
-                pieced.absorb(&piece, cap);
-                start = end;
-            }
             assert_eq!(pieced, whole, "cap {cap}");
+            // the cuts are not multiples of 2, 4 or 8 blocks, so every
+            // wide fold masks limbs off at a piece edge
+            for (name, (w, p)) in [
+                (W128::NAME, fold_window::<W128>(spec, blocks.clone(), cap)),
+                (W256::NAME, fold_window::<W256>(spec, blocks.clone(), cap)),
+                (W512::NAME, fold_window::<W512>(spec, blocks.clone(), cap)),
+            ] {
+                assert_eq!(w, whole, "{name} whole, cap {cap}");
+                assert_eq!(p, whole, "{name} pieced, cap {cap}");
+            }
         }
+    }
+
+    /// `blocks` folded through a width-`P` kernel whole, and in uneven
+    /// pieces (an empty one among them) through one reused kernel,
+    /// absorbed in order — the way a sweep shard walks its chunks.
+    fn fold_window<P: Plane>(spec: FitnessSpec, blocks: Range<u64>, cap: usize) -> (Tally, Tally) {
+        let mut whole = Tally::new(spec);
+        whole.fold_blocks(&mut BlockKernelW::<P>::new(spec), blocks.clone(), cap);
+        let mut kernel = BlockKernelW::<P>::new(spec);
+        let mut pieced = Tally::new(spec);
+        let mut start = blocks.start;
+        for cut in [3, 4, 4, 21, 36, 50, 64] {
+            let mut piece = Tally::new(spec);
+            let end = blocks.start + cut;
+            piece.fold_blocks(&mut kernel, start..end, cap);
+            pieced.absorb(&piece, cap);
+            start = end;
+        }
+        (whole, pieced)
     }
 
     #[test]

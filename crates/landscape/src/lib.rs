@@ -15,15 +15,16 @@
 //!
 //! Three layers:
 //!
-//! * [`kernel`] — the block kernel: 64 consecutive genomes share every
-//!   bit above the 6-bit lane field, so a block's transposed form is six
-//!   fixed lane-index planes plus 30 broadcast words
-//!   ([`leonardo_rtl::bitslice::consecutive_genome_planes`]), fed through
-//!   [`leonardo_rtl::bitslice::FitnessUnitX64`]'s carry-save score planes
-//!   and decoded into per-fitness-level lane masks — ~10 word ops per
-//!   genome, no transpose, no per-genome work at all — plus [`Tally`],
-//!   the one fold of those masks into a histogram and max-set sample
-//!   that the sweep and the server's oracle share;
+//! * [`kernel`] — the block kernel: `P::LANES` consecutive genomes share
+//!   every bit above the lane field, so a block's transposed form is
+//!   fixed lane-index planes plus broadcast words
+//!   ([`leonardo_rtl::bitslice::consecutive_genome_planes_w`]), fed
+//!   through [`leonardo_rtl::bitslice::FitnessUnitXW`]'s carry-save score
+//!   planes — no transpose, no per-genome work at all — plus [`Tally`],
+//!   the one fold of those planes into a histogram and max-set sample
+//!   that the sweep and the server's oracle share. Both fold at
+//!   [`SweepPlane`] (512 genomes per step), the width measured fastest
+//!   for the fold; the 64-lane [`BlockKernel`] is the proven reference;
 //! * [`shard`] — deterministic disjoint contiguous shards over the block
 //!   space (the unit of parallelism, checkpointing and resume);
 //! * [`sweep`] — the multi-threaded driver: shards fan out over
@@ -33,11 +34,11 @@
 //!   restarts where it left off. Merged results are bit-identical for
 //!   **any** shard count and thread count.
 //!
-//! The differential conformance suite in `tests/` pins the sweep kernel
-//! lane-by-lane to the scalar `discipulus` fitness function, the RTL
-//! `FitnessUnit` and the batch `FitnessUnitX64`, making the sweep the
-//! repo's ground-truth oracle for every fitness-touching change. See
-//! `docs/LANDSCAPE.md`.
+//! The differential conformance suite in `tests/` pins the 64-lane and
+//! the wide sweep kernel lane-by-lane to the scalar `discipulus` fitness
+//! function, the RTL `FitnessUnit` and the batch `FitnessUnitX64`,
+//! making the sweep the repo's ground-truth oracle for every
+//! fitness-touching change. See `docs/LANDSCAPE.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +49,7 @@ pub mod shard;
 pub mod sweep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW, Tally};
+pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW, SweepPlane, Tally};
 pub use shard::{Shard, ShardPlan};
 pub use sweep::{LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus};
 

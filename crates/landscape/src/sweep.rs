@@ -1,12 +1,16 @@
 //! The sharded, multi-threaded, checkpointable sweep driver.
 //!
 //! Shards fan out over [`leonardo_exec::ordered_map_range`]; each is
-//! walked block by block through a fresh [`BlockKernel`], folding 64-lane
-//! score masks into the shard's [`Tally`] at **chunk** granularity (a few
-//! thousand blocks). Because every shard accumulates independently and
-//! the merge absorbs shards in index order, the final landscape is
-//! bit-identical for every shard count and thread count — parallelism can
-//! reorder the work but not the result (property-tested in `tests/`).
+//! walked through a fresh `BlockKernelW<SweepPlane>` (see [`SweepPlane`]:
+//! 512 consecutive genomes per kernel step), folding into the shard's
+//! [`Tally`] at **chunk** granularity (a few thousand 64-genome blocks).
+//! Shard bounds, chunks and cursors count 64-genome blocks at every
+//! width, so a wide block that a cut falls inside is scored on both sides
+//! of the cut, each side masking off the other's limbs. Because every
+//! shard accumulates independently and the merge absorbs shards in index
+//! order, the final landscape is bit-identical for every shard count and
+//! thread count — parallelism can reorder the work but not the result
+//! (property-tested in `tests/`).
 //!
 //! Chunks are also the checkpoint and cancellation boundary: a
 //! [`StopToken`] interrupts the sweep between chunks, and the driver
@@ -15,7 +19,7 @@
 //! where a killed run stopped.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint};
-use crate::kernel::{BlockKernel, Tally, BLOCK_GENOMES};
+use crate::kernel::{BlockKernelW, SweepPlane, Tally, BLOCK_GENOMES};
 use crate::shard::{ShardPlan, FULL_SUBSPACE_BITS};
 use discipulus::fitness::{FitnessSpec, FitnessValue};
 use discipulus::stats::FitnessHistogram;
@@ -71,7 +75,9 @@ impl SweepConfig {
             sample_cap: 1 << 17,
             chunk_blocks: 1 << 12,
             checkpoint: None,
-            checkpoint_every_blocks: 1 << 21,
+            // 2^30 genomes: about 0.15 s of a 2-core sweep between writes,
+            // each of which renders every shard's samples
+            checkpoint_every_blocks: 1 << 24,
         }
     }
 
@@ -361,7 +367,7 @@ impl Sweep {
             let st = state.lock().expect("shard state");
             (st.cursor, st.end_block)
         };
-        let mut kernel = BlockKernel::new(self.config.spec);
+        let mut kernel = BlockKernelW::<SweepPlane>::new(self.config.spec);
         while cursor < end {
             if stop.stopped() {
                 return;
@@ -485,19 +491,23 @@ mod tests {
 
     #[test]
     fn small_subspace_matches_scalar_brute_force() {
-        let (hist, max) = scalar_landscape(14);
-        let mut cfg = SweepConfig::subspace(14);
-        cfg.num_shards = 5;
-        cfg.threads = 2;
-        cfg.chunk_blocks = 16;
-        let mut sweep = Sweep::new(cfg);
-        assert_eq!(sweep.run(&StopToken::never()), SweepStatus::Complete);
-        let r = sweep.result();
-        assert!(r.complete);
-        assert_eq!(r.genomes_swept, 1 << 14);
-        assert_eq!(r.histogram.counts(), &hist[..]);
-        assert_eq!(r.max_count, max.len() as u64);
-        assert_eq!(r.max_samples, max);
+        // 2^6 and 2^7 are smaller than one wide sweep block, so the fold
+        // masks off most of the limbs it scores
+        for bits in [6, 7, 14] {
+            let (hist, max) = scalar_landscape(bits);
+            let mut cfg = SweepConfig::subspace(bits);
+            cfg.num_shards = 5;
+            cfg.threads = 2;
+            cfg.chunk_blocks = 16;
+            let mut sweep = Sweep::new(cfg);
+            assert_eq!(sweep.run(&StopToken::never()), SweepStatus::Complete);
+            let r = sweep.result();
+            assert!(r.complete, "bits {bits}");
+            assert_eq!(r.genomes_swept, 1 << bits, "bits {bits}");
+            assert_eq!(r.histogram.counts(), &hist[..], "bits {bits}");
+            assert_eq!(r.max_count, max.len() as u64, "bits {bits}");
+            assert_eq!(r.max_samples, max, "bits {bits}");
+        }
     }
 
     #[test]

@@ -504,7 +504,7 @@ impl crate::netlist::Describe for FitnessUnitX64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitslice::plane::{W256, W512};
+    use crate::bitslice::plane::{W128, W256, W512};
     use crate::bitslice::transpose::transposed;
     use crate::fitness_rtl::FitnessUnit;
     use discipulus::fitness::{FitnessSpec, Rule};
@@ -651,15 +651,25 @@ mod tests {
         }
     }
 
+    /// `consecutive_genome_planes_w::<P>` against an explicit transpose of
+    /// the same `P::LANES` genomes.
+    fn check_consecutive_planes<P: Plane>() {
+        let lanes = P::LANES as u64;
+        for base in [0u64, lanes, 0xA_4567_8800, (GENOME_MASK + 1) - lanes] {
+            let genomes: Vec<u64> = (0..lanes).map(|l| base + l).collect();
+            let mut t = [P::ZERO; GENOME_BITS];
+            transposed_planes(&genomes, &mut t);
+            let planes = consecutive_genome_planes_w::<P>(base);
+            assert_eq!(&t[..], &planes[..], "{} base {base:#x}", P::NAME);
+        }
+    }
+
     #[test]
     fn wide_consecutive_planes_match_explicit_transpose() {
-        for base in [0u64, 512, 0xA_4567_8800, (GENOME_MASK + 1) - 512] {
-            let lanes: Vec<u64> = (0..512).map(|l| base + l as u64).collect();
-            let mut t = [W512::ZERO; GENOME_BITS];
-            transposed_planes(&lanes, &mut t);
-            let planes = consecutive_genome_planes_w::<W512>(base);
-            assert_eq!(&t[..], &planes[..], "base {base:#x}");
-        }
+        check_consecutive_planes::<u64>();
+        check_consecutive_planes::<W128>();
+        check_consecutive_planes::<W256>();
+        check_consecutive_planes::<W512>();
     }
 
     #[test]

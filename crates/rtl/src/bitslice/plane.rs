@@ -407,17 +407,18 @@ fn probe_seeds(n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// The per-width equivalence probe: RNG, fitness network and the whole
-/// batch GAP of width `P` against their scalar counterparts on a small
-/// deterministic schedule. This is intentionally a subset of the full
+/// The per-width equivalence probe: RNG, fitness network, the landscape
+/// sweep's consecutive-genome planes and the whole batch GAP of width
+/// `P` against their scalar counterparts on a small deterministic
+/// schedule. This is intentionally a subset of the full
 /// lane-equivalence suite — cheap enough for the analysis gate to run on
 /// every width at every `check`, strict enough that a broken kernel at
 /// any width is caught with a named lane.
 fn probe_width<P: Plane>() -> Result<(), String> {
-    use crate::bitslice::{CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig};
+    use crate::bitslice::{CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig, SCORE_PLANES};
     use crate::gap_rtl::{GapRtl, GapRtlConfig};
     use crate::rng_rtl::CaRngRtl;
-    use discipulus::genome::{Genome, GENOME_MASK};
+    use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
 
     let seeds = probe_seeds(P::LANES);
     // 1. the CA RNG: clocked and jumped lanes against scalar generators
@@ -463,7 +464,26 @@ fn probe_width<P: Plane>() -> Result<(), String> {
             ));
         }
     }
-    // 3. the whole batch GAP: two generations of lockstep on a lane
+    // 3. the sweep's input: aligned consecutive blocks scored without a
+    //    transpose — the first, the one just below the carry run into bit
+    //    32, and the last — every lane against the scalar spec
+    let lanes = P::LANES as u64;
+    for base in [0, (1 << 32) - lanes, (1 << GENOME_BITS) - lanes] {
+        let planes = unit.evaluate_consecutive_planes(base);
+        for (l, genome) in (base..base + lanes).enumerate() {
+            let got: u32 = (0..SCORE_PLANES)
+                .map(|p| u32::from(planes[p].bit(l)) << p)
+                .sum();
+            let want = spec.evaluate(Genome::from_bits(genome));
+            if got != want {
+                return Err(format!(
+                    "{}: consecutive block {base:#011x} lane {l} scores {got}, scalar says {want}",
+                    P::NAME
+                ));
+            }
+        }
+    }
+    // 4. the whole batch GAP: two generations of lockstep on a lane
     //    sample (first, middle, last), full population + cycle compare
     let gap_seeds = probe_seeds(P::LANES);
     let mut gap = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &gap_seeds);

@@ -14,7 +14,7 @@
 //! (a golden test pins this).
 
 use discipulus::fitness::FitnessSpec;
-use leonardo_landscape::kernel::{BlockKernel, Tally, BLOCK_GENOMES};
+use leonardo_landscape::kernel::{BlockKernel, BlockKernelW, SweepPlane, Tally, BLOCK_GENOMES};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -108,7 +108,7 @@ impl LandscapeOracle {
             // small subspace: score its blocks directly, no cache
             let blocks = 0..1 << (bits - 6);
             tally.fold_blocks(
-                &mut BlockKernel::new(self.spec),
+                &mut BlockKernelW::<SweepPlane>::new(self.spec),
                 blocks,
                 RESPONSE_SAMPLE_CAP,
             );
@@ -130,8 +130,9 @@ impl LandscapeOracle {
         }
     }
 
-    /// Exact fitness of one genome, scored through the sweep kernel (the
-    /// block containing it is evaluated and its lane read out).
+    /// Exact fitness of one genome, scored through the 64-lane block
+    /// kernel (the block containing it is evaluated and its lane read
+    /// out).
     pub fn genome_fitness(&self, genome: u64) -> u32 {
         assert!(genome < 1 << 36, "genome outside the 36-bit space");
         let mut kernel = BlockKernel::new(self.spec);
@@ -154,11 +155,15 @@ impl LandscapeOracle {
         }
         // compute outside the lock: concurrent requests may duplicate
         // work on the same cold chunk, but never block each other on a
-        // ~10ms kernel sweep
+        // chunk fold
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut summary = Tally::new(self.spec);
         let blocks = chunk * CHUNK_BLOCKS..(chunk + 1) * CHUNK_BLOCKS;
-        summary.fold_blocks(&mut BlockKernel::new(self.spec), blocks, CHUNK_SAMPLE_CAP);
+        summary.fold_blocks(
+            &mut BlockKernelW::<SweepPlane>::new(self.spec),
+            blocks,
+            CHUNK_SAMPLE_CAP,
+        );
         let summary = Arc::new(summary);
         let mut cache = self.lock_cache();
         cache.clock += 1;

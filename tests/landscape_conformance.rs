@@ -6,8 +6,13 @@
 //! 1. the scalar behavioural spec (`discipulus::fitness::FitnessSpec`),
 //! 2. the scalar RTL combinational unit (`leonardo_rtl::FitnessUnit`),
 //! 3. the 64-lane bit-sliced unit (`FitnessUnitX64::evaluate_lanes`),
-//! 4. the landscape block kernel (`BlockKernel`, the consecutive-genome
-//!    plane path the exhaustive sweep runs on).
+//! 4. the 64-lane landscape block kernel (`BlockKernel`, the
+//!    consecutive-genome plane path the SAT miter proves),
+//!
+//! and the kernel the exhaustive sweep and the server oracle actually
+//! run, `BlockKernelW<SweepPlane>`, must agree with all four: the proof
+//! covers only the 64-lane kernel, so these checks carry it to the wide
+//! one.
 //!
 //! Any disagreement means the exhaustive E15 landscape is wrong, so this
 //! suite is deliberately heavier than the usual lane-equivalence tests:
@@ -15,13 +20,23 @@
 
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
-use leonardo_landscape::BlockKernel;
+use leonardo_landscape::{BlockKernel, BlockKernelW, SweepPlane};
 use leonardo_rtl::bitslice::{FitnessUnitX64, LANES};
 use leonardo_rtl::fitness_rtl::FitnessUnit;
 use proptest::prelude::*;
 
-/// Assert all four implementations agree on `genome`.
-fn assert_four_way(kernel: &mut BlockKernel, genome: u64) {
+/// The fitness the sweep's wide kernel gives `genome`: its block is
+/// scored and the genome's lane read out.
+fn sweep_fitness(wide: &mut BlockKernelW<SweepPlane>, genome: u64) -> u32 {
+    let lanes = BlockKernelW::<SweepPlane>::GENOMES_PER_BLOCK;
+    let mut out = vec![0u32; lanes as usize];
+    wide.block_fitness_into(genome / lanes, &mut out);
+    out[(genome % lanes) as usize]
+}
+
+/// Assert all four implementations, and the sweep's wide kernel, agree
+/// on `genome`.
+fn assert_four_way(kernel: &mut BlockKernel, wide: &mut BlockKernelW<SweepPlane>, genome: u64) {
     let spec = FitnessSpec::paper();
     let scalar = spec.evaluate(Genome::from_bits(genome));
     let rtl = FitnessUnit::paper().evaluate(Genome::from_bits(genome));
@@ -34,11 +49,17 @@ fn assert_four_way(kernel: &mut BlockKernel, genome: u64) {
     assert_eq!(scalar, rtl, "core vs RTL on {genome:#011x}");
     assert_eq!(scalar, sliced, "core vs sliced on {genome:#011x}");
     assert_eq!(scalar, swept, "core vs sweep kernel on {genome:#011x}");
+    assert_eq!(
+        scalar,
+        sweep_fitness(wide, genome),
+        "core vs wide sweep kernel on {genome:#011x}"
+    );
 }
 
 #[test]
 fn corner_genomes_agree_across_all_four_paths() {
     let mut kernel = BlockKernel::new(FitnessSpec::paper());
+    let mut wide = BlockKernelW::<SweepPlane>::new(FitnessSpec::paper());
     let mut corners = vec![0u64, GENOME_MASK];
     // per-field one-hot: every single genome bit alone...
     corners.extend((0..GENOME_BITS).map(|b| 1u64 << b));
@@ -48,20 +69,24 @@ fn corner_genomes_agree_across_all_four_paths() {
     for field in 0..12 {
         corners.push(0b111u64 << (3 * field));
     }
-    // block-boundary stress: lane 0 and lane 63 of extreme blocks
+    // block-boundary stress: lane 0 and lane 63 of extreme blocks, and
+    // the first and last lane of the wide kernel's extreme blocks
     corners.extend([63, 64, 127, GENOME_MASK - 63, GENOME_MASK & !63]);
+    let wide_lanes = BlockKernelW::<SweepPlane>::GENOMES_PER_BLOCK;
+    corners.extend([wide_lanes - 1, wide_lanes, GENOME_MASK + 1 - wide_lanes]);
     for g in corners {
-        assert_four_way(&mut kernel, g);
+        assert_four_way(&mut kernel, &mut wide, g);
     }
 }
 
 proptest! {
-    // 170 cases x 64 lanes > 10^4 genomes through the full 4-way check
+    // 170 cases x 64 lanes > 10^4 genomes through the full check
     #![proptest_config(ProptestConfig::with_cases(170))]
 
     /// Random blocks of 64 arbitrary (not consecutive) genomes through
     /// the sliced unit, each lane cross-checked against the scalar spec,
-    /// the scalar RTL unit, and the sweep kernel's block at that genome.
+    /// the scalar RTL unit, and the 64-lane and wide sweep kernels' blocks
+    /// at that genome.
     #[test]
     fn random_genomes_agree_across_all_four_paths(
         raw in prop::collection::vec(0u64..=GENOME_MASK, LANES),
@@ -70,6 +95,7 @@ proptest! {
         let rtl = FitnessUnit::paper();
         let sliced = FitnessUnitX64::paper();
         let mut kernel = BlockKernel::new(spec);
+        let mut wide = BlockKernelW::<SweepPlane>::new(spec);
         let mut lanes = [0u64; LANES];
         lanes.copy_from_slice(&raw);
         let scores = sliced.evaluate_lanes(&lanes);
@@ -80,6 +106,8 @@ proptest! {
             let swept =
                 kernel.block_fitness(genome / LANES as u64)[(genome % LANES as u64) as usize];
             prop_assert!(scalar == swept, "sweep kernel at {:#011x}", genome);
+            let wide_swept = sweep_fitness(&mut wide, genome);
+            prop_assert!(scalar == wide_swept, "wide sweep kernel at {:#011x}", genome);
         }
     }
 

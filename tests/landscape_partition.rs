@@ -54,7 +54,7 @@ proptest! {
     /// bit-identical to the 1-shard 1-thread reference.
     #[test]
     fn merged_sweep_is_bit_identical_for_any_configuration(
-        bits in 8u32..=13,
+        bits in 6u32..=13,
         shards in 1usize..=17,
         threads in 1usize..=4,
         chunk in 1u64..=64,
