@@ -71,7 +71,7 @@ fn main() {
                 .verify()
                 .unwrap_or_else(|e| panic!("recovery oracle failed at rate {upsets}: {e}"));
             deltas.extend(report.lanes.iter().filter_map(|l| l.cost_delta));
-            session.add_campaign(report.manifest_row());
+            session.add_row("campaigns", report.manifest_row());
         }
         let results = gens_at_rate(&session, upsets);
         let gens: Vec<f64> = results.iter().flatten().copied().collect();

@@ -33,7 +33,7 @@ use leonardo_landscape::{
     BlockKernelW, LandscapeResult, StopToken, Sweep, SweepConfig, SweepPlane, SweepStatus,
     FULL_SWEEP_MAX_SET,
 };
-use leonardo_telemetry::LandscapeRow;
+use leonardo_telemetry::json::Json;
 use std::time::Instant;
 
 /// Paper fact F7: full enumeration takes ~19 h on the 1 MHz chip.
@@ -154,15 +154,21 @@ fn main() {
         result.count_at(attained)
     );
 
-    session.add_landscape_row(LandscapeRow {
-        subspace_bits: subspace_bits as u64,
-        shards: result.shards as u64,
-        threads: threads as u64,
-        genomes_swept: result.genomes_swept,
-        max_fitness: result.max_fitness as u64,
-        max_count: result.max_count,
-        histogram: result.histogram.counts().to_vec(),
-    });
+    session.add_row(
+        "landscape",
+        Json::Obj(vec![
+            ("subspace_bits".into(), u64::from(subspace_bits).into()),
+            ("shards".into(), result.shards.into()),
+            ("threads".into(), threads.into()),
+            ("genomes_swept".into(), result.genomes_swept.into()),
+            ("max_fitness".into(), u64::from(result.max_fitness).into()),
+            ("max_count".into(), result.max_count.into()),
+            (
+                "histogram".into(),
+                result.histogram.counts().to_vec().into(),
+            ),
+        ]),
+    );
 
     // the analytic construction pins the max set of every subspace: its
     // exact size and the canonical (ascending, capped) sample prefix

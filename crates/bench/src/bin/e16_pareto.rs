@@ -27,7 +27,7 @@ use leonardo_bench::{
     max_set_walk_table, nsga2_campaigns, rule_walk_front, Comparison, ComparisonTable,
     ExperimentSession, GaitMoProblem, Verdict,
 };
-use leonardo_telemetry::ParetoRow;
+use leonardo_telemetry::json::Json;
 use leonardo_walker::objectives::objective_registry;
 use std::time::Instant;
 
@@ -106,16 +106,22 @@ fn main() {
             best_margin,
             best_energy
         );
-        session.add_pareto_row(ParetoRow {
-            campaign: "nsga2_walk".to_string(),
-            seed: c.seed,
-            population: population as u64,
-            generations: c.generations,
-            evaluations: c.evaluations,
-            front_size: c.front.len() as u64,
-            objectives: names.clone(),
-            best: vec![best_distance, best_margin, -best_energy],
-        });
+        session.add_row(
+            "pareto",
+            Json::Obj(vec![
+                ("campaign".into(), "nsga2_walk".into()),
+                ("seed".into(), c.seed.into()),
+                ("population".into(), population.into()),
+                ("generations".into(), c.generations.into()),
+                ("evaluations".into(), c.evaluations.into()),
+                ("front_size".into(), c.front.len().into()),
+                ("objectives".into(), names.clone().into()),
+                (
+                    "best".into(),
+                    vec![best_distance, best_margin, -best_energy].into(),
+                ),
+            ]),
+        );
     }
 
     let table_start = Instant::now();
@@ -196,6 +202,6 @@ fn main() {
 
     let manifest_path = session.manifest_path();
     let manifest = session.finish();
-    assert_eq!(manifest.pareto.len(), num_seeds);
+    assert_eq!(manifest.rows("pareto").len(), num_seeds);
     println!("run manifest: {}", manifest_path.display());
 }

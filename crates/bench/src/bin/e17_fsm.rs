@@ -27,7 +27,7 @@ use leonardo_bench::{
 };
 use leonardo_problems::{problem_registry, subspace_sweep};
 use leonardo_rtl::bitslice::W256;
-use leonardo_telemetry::LandscapeRow;
+use leonardo_telemetry::json::Json;
 use std::time::Instant;
 
 /// Campaign seeds: the e1-style trial space, as 64-bit values.
@@ -72,7 +72,7 @@ fn main() {
         let converged = trials.iter().filter(|t| t.converged).count();
         convergence.push((spec.name, converged, trials.len()));
         for t in &trials {
-            session.add_problem_row(problem_row(spec, t));
+            session.add_row("problems", problem_row(spec, t));
         }
 
         let bits = sweep_bits.min(spec.width as u32);
@@ -91,19 +91,23 @@ fn main() {
             sweep.genomes(),
             sweep.histogram.len()
         );
-        session.add_landscape_row(LandscapeRow {
-            subspace_bits: u64::from(bits),
-            shards: shards as u64,
-            threads: worker_count as u64,
-            genomes_swept: sweep.genomes(),
-            max_fitness: u64::from(spec.max_fitness),
-            max_count: if sweep.best_fitness == spec.max_fitness {
-                sweep.best_count()
-            } else {
-                0
-            },
-            histogram: sweep.histogram.clone(),
-        });
+        let max_count = if sweep.best_fitness == spec.max_fitness {
+            sweep.best_count()
+        } else {
+            0
+        };
+        session.add_row(
+            "landscape",
+            Json::Obj(vec![
+                ("subspace_bits".into(), u64::from(bits).into()),
+                ("shards".into(), shards.into()),
+                ("threads".into(), worker_count.into()),
+                ("genomes_swept".into(), sweep.genomes().into()),
+                ("max_fitness".into(), u64::from(spec.max_fitness).into()),
+                ("max_count".into(), max_count.into()),
+                ("histogram".into(), sweep.histogram.clone().into()),
+            ]),
+        );
     }
 
     let mut t = ComparisonTable::new("E17 — FSM synthesis through the problem registry");
@@ -144,9 +148,9 @@ fn main() {
     let manifest_path = session.manifest_path();
     let manifest = session.finish();
     assert_eq!(
-        manifest.problems.len(),
+        manifest.rows("problems").len(),
         problem_registry().len() * num_seeds
     );
-    assert_eq!(manifest.landscape.len(), problem_registry().len());
+    assert_eq!(manifest.rows("landscape").len(), problem_registry().len());
     println!("run manifest: {}", manifest_path.display());
 }

@@ -14,7 +14,7 @@ use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
 use leonardo_problems::{KernelPlane, ProblemSpec};
 use leonardo_telemetry as tele;
-use leonardo_telemetry::ProblemRow;
+use leonardo_telemetry::json::Json;
 use std::fmt::Write as _;
 
 use crate::harness::parallel_map_threads;
@@ -102,18 +102,21 @@ pub fn problem_campaigns<P: KernelPlane>(
     })
 }
 
-/// A manifest `problems` row (telemetry schema v7) for one trial.
-pub fn problem_row(spec: &ProblemSpec, trial: &ProblemTrial) -> ProblemRow {
-    ProblemRow {
-        problem: spec.name.to_string(),
-        width: spec.width as u64,
-        seed: trial.seed,
-        generations: trial.generations,
-        evaluations: trial.evaluations,
-        best_fitness: u64::from(trial.best_fitness),
-        best_genome: format!("{:#x}", trial.best_genome),
-        converged: trial.converged,
-    }
+/// A manifest `problems` row for one trial.
+pub fn problem_row(spec: &ProblemSpec, trial: &ProblemTrial) -> Json {
+    Json::Obj(vec![
+        ("problem".into(), spec.name.into()),
+        ("width".into(), spec.width.into()),
+        ("seed".into(), trial.seed.into()),
+        ("generations".into(), trial.generations.into()),
+        ("evaluations".into(), trial.evaluations.into()),
+        ("best_fitness".into(), u64::from(trial.best_fitness).into()),
+        (
+            "best_genome".into(),
+            format!("{:#x}", trial.best_genome).into(),
+        ),
+        ("converged".into(), trial.converged.into()),
+    ])
 }
 
 /// Render one problem's campaign results as the fixed-width table the
@@ -190,10 +193,19 @@ mod tests {
         let s = spec("serial_adder");
         let trials = problem_campaigns::<u64>(s, &[0x1000], 5, 1);
         let row = problem_row(s, &trials[0]);
-        assert_eq!(row.problem, "serial_adder");
-        assert_eq!(row.width, 16);
-        assert_eq!(row.seed, 0x1000);
-        assert_eq!(row.best_genome, format!("{:#x}", trials[0].best_genome));
+        assert_eq!(
+            row.get("problem").and_then(Json::as_str),
+            Some("serial_adder")
+        );
+        assert_eq!(row.get("width").and_then(Json::as_u64), Some(16));
+        assert_eq!(row.get("seed").and_then(Json::as_u64), Some(0x1000));
+        let genome = format!("{:#x}", trials[0].best_genome);
+        assert_eq!(
+            row.get("best_genome").and_then(Json::as_str),
+            Some(genome.as_str())
+        );
+        // the row matches the `problems` declaration (push_row panics otherwise)
+        leonardo_telemetry::RunManifest::new("problem_test").push_row("problems", row.clone());
         let table = problem_table(s, &trials);
         assert!(table.contains("problem serial_adder (16-bit genome, max fitness 48)"));
         assert!(table.contains("0 of 1 seed(s) converged") || table.contains("1 of 1 seed(s)"));

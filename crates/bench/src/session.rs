@@ -11,6 +11,7 @@
 use crate::harness::ConvergenceStats;
 use discipulus::stats::SampleSummary;
 use leonardo_telemetry as tele;
+use leonardo_telemetry::json::Json;
 use leonardo_telemetry::sink::{Aggregator, Fanout, JsonlSink, Sink};
 use leonardo_telemetry::RunManifest;
 use std::path::{Path, PathBuf};
@@ -112,28 +113,11 @@ impl ExperimentSession {
         self.manifest.plane_width = lanes as u64;
     }
 
-    /// Record one fault-campaign summary row into the manifest's
-    /// `campaigns` section.
-    pub fn add_campaign(&mut self, row: tele::CampaignRow) {
-        self.manifest.campaigns.push(row);
-    }
-
-    /// Record one landscape-sweep summary row into the manifest's
-    /// `landscape` section.
-    pub fn add_landscape_row(&mut self, row: tele::LandscapeRow) {
-        self.manifest.landscape.push(row);
-    }
-
-    /// Record one multi-objective campaign summary row into the
-    /// manifest's `pareto` section (schema v6).
-    pub fn add_pareto_row(&mut self, row: tele::ParetoRow) {
-        self.manifest.pareto.push(row);
-    }
-
-    /// Record one registry-problem campaign summary row into the
-    /// manifest's `problems` section (schema v7).
-    pub fn add_problem_row(&mut self, row: tele::ProblemRow) {
-        self.manifest.problems.push(row);
+    /// Record one summary row into the manifest's `section` (see
+    /// [`RunManifest::push_row`], which panics on a row that does not
+    /// match the section's declared columns).
+    pub fn add_row(&mut self, section: &str, row: Json) {
+        self.manifest.push_row(section, row);
     }
 
     /// Total simulated RTL cycles over all `bench.trial` and

@@ -5,6 +5,7 @@
 //! classification and scalar↔X64 agreement.
 
 use leonardo_faults::{Campaign, FaultModel};
+use leonardo_telemetry::json::Json;
 
 const SMOKE_MODELS: [FaultModel; 2] = [FaultModel::PopulationFlip, FaultModel::RngUpset];
 const MAX_GENS: u64 = 30_000;
@@ -48,11 +49,15 @@ fn manifest_rows_from_the_smoke_campaign_are_consistent() {
         .run_x64(&seeds());
     report.verify().expect("oracle");
     let row = report.manifest_row();
-    assert_eq!(row.engine, "rtl_x64");
-    assert_eq!(row.model, "population_flip");
-    assert_eq!(row.lanes as usize, seeds().len());
+    let uint = |k| row.get(k).and_then(Json::as_u64).expect(k);
+    assert_eq!(row.get("engine").and_then(Json::as_str), Some("rtl_x64"));
     assert_eq!(
-        row.recovered + row.corrupted + row.permanent_failures,
-        row.lanes
+        row.get("model").and_then(Json::as_str),
+        Some("population_flip")
+    );
+    assert_eq!(uint("lanes") as usize, seeds().len());
+    assert_eq!(
+        uint("recovered") + uint("corrupted") + uint("permanent_failures"),
+        uint("lanes")
     );
 }

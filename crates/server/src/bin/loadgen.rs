@@ -12,8 +12,8 @@
 //! concurrent keep-alive connections. Per-request latency is recorded
 //! and summarised (p50/p99/mean via `evo`'s one-sort percentile helper,
 //! plus completed requests per second); the JSON report goes to stdout
-//! or `--out`, and `--manifest` additionally writes a schema-v5
-//! `RunManifest` with one `server` row per pass. Exit status is 1 if
+//! or `--out`, and `--manifest` additionally writes a `RunManifest`
+//! with each pass as one row of its `server` section. Exit status is 1 if
 //! any request failed (non-2xx or transport error) — the CI smoke step
 //! relies on that.
 
@@ -22,7 +22,7 @@
 use evo::stats::Summary;
 use leonardo_bench::harness::arg_or;
 use leonardo_telemetry::json::Json;
-use leonardo_telemetry::{RunManifest, ServerRow};
+use leonardo_telemetry::RunManifest;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -200,7 +200,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut rows: Vec<ServerRow> = Vec::new();
+    let mut passes: Vec<Json> = Vec::new();
     let mut total_errors = 0u64;
     for &clients in &concurrencies {
         let (latencies, ok, errors, wall) = run_pass(&addr, requests, clients, &templates);
@@ -211,28 +211,28 @@ fn main() {
         } else {
             latencies.iter().sum::<f64>() / latencies.len() as f64
         };
-        rows.push(ServerRow {
-            route: "ALL".to_string(),
-            clients: clients as u64,
-            requests: (ok + errors),
-            ok,
-            errors,
-            p50_micros: pcts[0],
-            p99_micros: pcts[1],
-            mean_micros: mean,
-            rps: if wall > 0.0 {
-                (ok + errors) as f64 / wall
-            } else {
-                0.0
-            },
-        });
+        let rps = if wall > 0.0 {
+            (ok + errors) as f64 / wall
+        } else {
+            0.0
+        };
+        passes.push(Json::Obj(vec![
+            ("route".into(), "ALL".into()),
+            ("clients".into(), clients.into()),
+            ("requests".into(), (ok + errors).into()),
+            ("ok".into(), ok.into()),
+            ("errors".into(), errors.into()),
+            ("p50_micros".into(), pcts[0].into()),
+            ("p99_micros".into(), pcts[1].into()),
+            ("mean_micros".into(), mean.into()),
+            ("rps".into(), rps.into()),
+        ]));
         eprintln!(
             "loadgen: clients={clients} requests={} ok={ok} errors={errors} \
-             p50={:.0}us p99={:.0}us rps={:.0}",
+             p50={:.0}us p99={:.0}us rps={rps:.0}",
             ok + errors,
             pcts[0],
             pcts[1],
-            rows.last().expect("just pushed").rps
         );
     }
 
@@ -241,26 +241,7 @@ fn main() {
         ("addr".to_string(), Json::Str(addr.clone())),
         ("mix".to_string(), Json::Str(mix.clone())),
         ("requests_per_pass".to_string(), Json::Num(requests as f64)),
-        (
-            "passes".to_string(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("route".to_string(), Json::Str(r.route.clone())),
-                            ("clients".to_string(), Json::Num(r.clients as f64)),
-                            ("requests".to_string(), Json::Num(r.requests as f64)),
-                            ("ok".to_string(), Json::Num(r.ok as f64)),
-                            ("errors".to_string(), Json::Num(r.errors as f64)),
-                            ("p50_micros".to_string(), Json::Num(r.p50_micros)),
-                            ("p99_micros".to_string(), Json::Num(r.p99_micros)),
-                            ("mean_micros".to_string(), Json::Num(r.mean_micros)),
-                            ("rps".to_string(), Json::Num(r.rps)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("passes".to_string(), Json::Arr(passes.clone())),
     ])
     .to_string();
     if out.is_empty() {
@@ -276,7 +257,9 @@ fn main() {
         manifest
             .params
             .push(("requests_per_pass".to_string(), requests as f64));
-        manifest.server = rows.clone();
+        for pass in passes {
+            manifest.push_row("server", pass);
+        }
         if let Err(e) = manifest.write(&manifest_path) {
             eprintln!("error: cannot write {manifest_path}: {e}");
             std::process::exit(1);

@@ -68,10 +68,7 @@ pub mod manifest;
 pub mod sink;
 
 pub use event::{Event, Level, Payload, Value};
-pub use manifest::{
-    host_cores, CampaignRow, LandscapeRow, ManifestError, ParetoRow, ProblemRow, RunManifest,
-    ServerRow, MANIFEST_SCHEMA_VERSION,
-};
+pub use manifest::{host_cores, ManifestError, RunManifest, MANIFEST_SCHEMA_VERSION};
 
 #[cfg(feature = "runtime")]
 mod runtime {

@@ -5,6 +5,12 @@
 //! and wall/cycle totals needed to reproduce the run and to interpret the
 //! JSONL event stream recorded alongside it. The manifest is versioned
 //! (`schema_version`) so later tooling can keep reading old runs.
+//!
+//! Summary rows (fault campaigns, landscape sweeps, server load passes,
+//! …) are plain JSON objects filed under a named section. [`SECTIONS`]
+//! declares each section's columns, and one checker holds every row read
+//! or pushed to that declaration, so a new kind of row is one table
+//! entry: no new type, no schema bump.
 
 use crate::json::{Json, ParseError};
 use std::io;
@@ -31,7 +37,158 @@ use std::path::Path;
 ///   rows: problem name, genome width, seed, budget spent and the best
 ///   genome reached). Absent from the JSON when empty, so v1–v6
 ///   manifests stay readable.
+///
+/// A section added to [`SECTIONS`] since needs no bump: readers skip the
+/// sections they do not declare.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 7;
+
+/// The kind of value one manifest row column holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A string.
+    Str,
+    /// Any number.
+    Num,
+    /// A whole non-negative number, exact up to 2⁵³.
+    Uint,
+    /// `true` or `false`.
+    Bool,
+    /// An array whose every element is of the inner kind.
+    List(&'static Kind),
+    /// The inner kind, or absent from the row.
+    Optional(&'static Kind),
+}
+
+impl Kind {
+    fn admits(self, v: &Json) -> bool {
+        match self {
+            Kind::Str => v.as_str().is_some(),
+            Kind::Num => v.as_f64().is_some(),
+            Kind::Uint => v.as_u64().is_some(),
+            Kind::Bool => v.as_bool().is_some(),
+            Kind::List(item) => v
+                .as_array()
+                .is_some_and(|items| items.iter().all(|v| item.admits(v))),
+            Kind::Optional(inner) => inner.admits(v),
+        }
+    }
+}
+
+/// Every row section a manifest can carry, in the order they are
+/// written, with each section's columns in write order. A section is
+/// absent from the JSON while it has no rows. `docs/TELEMETRY.md` says
+/// what each column means.
+pub const SECTIONS: &[(&str, &[(&str, Kind)])] = {
+    use Kind::{Bool, List, Num, Optional, Str, Uint};
+    &[
+        // one fault-injection campaign (v2; leonardo-faults)
+        (
+            "campaigns",
+            &[
+                ("model", Str),
+                ("engine", Str),
+                ("rate", Num),
+                ("lanes", Uint),
+                ("recovered", Uint),
+                ("corrupted", Uint),
+                ("permanent_failures", Uint),
+                ("mean_cost_delta", Optional(&Num)),
+            ],
+        ),
+        // one exhaustive sweep of a genome subspace (v3; e15, e17)
+        (
+            "landscape",
+            &[
+                ("subspace_bits", Uint),
+                ("shards", Uint),
+                ("threads", Uint),
+                ("genomes_swept", Uint),
+                ("max_fitness", Uint),
+                ("max_count", Uint),
+                ("histogram", List(&Uint)),
+            ],
+        ),
+        // one loadgen pass against leonardo-server (v5)
+        (
+            "server",
+            &[
+                ("route", Str),
+                ("clients", Uint),
+                ("requests", Uint),
+                ("ok", Uint),
+                ("errors", Uint),
+                ("p50_micros", Num),
+                ("p99_micros", Num),
+                ("mean_micros", Num),
+                ("rps", Num),
+            ],
+        ),
+        // one multi-objective campaign or scoring pass (v6; e16)
+        (
+            "pareto",
+            &[
+                ("campaign", Str),
+                ("seed", Uint),
+                ("population", Uint),
+                ("generations", Uint),
+                ("evaluations", Uint),
+                ("front_size", Uint),
+                ("objectives", List(&Str)),
+                ("best", List(&Num)),
+            ],
+        ),
+        // one registry-problem GA campaign (v7; e17)
+        (
+            "problems",
+            &[
+                ("problem", Str),
+                ("width", Uint),
+                ("seed", Uint),
+                ("generations", Uint),
+                ("evaluations", Uint),
+                ("best_fitness", Uint),
+                ("best_genome", Str),
+                ("converged", Bool),
+            ],
+        ),
+    ]
+};
+
+/// Position of `section` in [`SECTIONS`].
+fn section_index(section: &str) -> Option<usize> {
+    SECTIONS.iter().position(|&(name, _)| name == section)
+}
+
+/// The one row checker, run on every row read and every row pushed:
+/// `row` with its section's columns in declared order, or the
+/// `section[i].column` path of the first declared column that is missing
+/// or of the wrong kind, else of the first column the section does not
+/// declare.
+fn checked_row(
+    (section, columns): (&str, &[(&str, Kind)]),
+    i: usize,
+    row: &Json,
+) -> Result<Json, ManifestError> {
+    let path = |column: &str| format!("{section}[{i}].{column}");
+    let mut checked = Vec::with_capacity(columns.len());
+    for &(column, kind) in columns {
+        match row.get(column) {
+            Some(v) if kind.admits(v) => checked.push((column.to_string(), v.clone())),
+            Some(_) => return Err(ManifestError::BadField(path(column))),
+            None if matches!(kind, Kind::Optional(_)) => {}
+            None => return Err(ManifestError::Missing(path(column))),
+        }
+    }
+    if let Json::Obj(members) = row {
+        if let Some((extra, _)) = members
+            .iter()
+            .find(|(k, _)| columns.iter().all(|&(c, _)| c != k))
+        {
+            return Err(ManifestError::BadField(path(extra)));
+        }
+    }
+    Ok(Json::Obj(checked))
+}
 
 /// A reproducibility record for one experiment run.
 ///
@@ -71,438 +228,9 @@ pub struct RunManifest {
     /// Relative path of the JSONL event stream recorded with this run,
     /// when one was recorded.
     pub events_file: Option<String>,
-    /// Fault-campaign summary rows, when the run injected faults
-    /// (schema v2; absent from the JSON when empty, so v1 readers and
-    /// fault-free runs are unaffected).
-    pub campaigns: Vec<CampaignRow>,
-    /// Landscape-sweep summary rows, when the run enumerated the genome
-    /// landscape (schema v3; absent from the JSON when empty, so v1/v2
-    /// readers and sweep-free runs are unaffected).
-    pub landscape: Vec<LandscapeRow>,
-    /// Server load-run summary rows, when the run drove `leonardo-server`
-    /// (schema v5; absent from the JSON when empty, so v1–v4 readers and
-    /// serverless runs are unaffected).
-    pub server: Vec<ServerRow>,
-    /// Multi-objective campaign summary rows, when the run evolved or
-    /// scored Pareto fronts (schema v6; absent from the JSON when empty,
-    /// so v1–v5 readers and single-objective runs are unaffected).
-    pub pareto: Vec<ParetoRow>,
-    /// Registry-problem GA campaign summary rows, when the run evolved a
-    /// registered evolvable problem (schema v7; absent from the JSON
-    /// when empty, so v1–v6 readers and problem-free runs are
-    /// unaffected).
-    pub problems: Vec<ProblemRow>,
-}
-
-/// One registry-problem GA campaign's summary line in a [`RunManifest`]:
-/// a seeded single-objective run against one registered problem and the
-/// best genome it reached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProblemRow {
-    /// Registered problem name (e.g. `"gait"`, `"fsm_traces"`).
-    pub problem: String,
-    /// Genome width in bits.
-    pub width: u64,
-    /// The RNG seed the campaign consumed.
-    pub seed: u64,
-    /// Generations executed.
-    pub generations: u64,
-    /// Fitness evaluations performed.
-    pub evaluations: u64,
-    /// Best fitness reached.
-    pub best_fitness: u64,
-    /// Best genome reached, as a `0x`-prefixed hex literal.
-    pub best_genome: String,
-    /// Whether the run reached the problem's registered maximum.
-    pub converged: bool,
-}
-
-impl ProblemRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("problem".to_string(), Json::Str(self.problem.clone())),
-            ("width".to_string(), Json::Num(self.width as f64)),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
-            (
-                "generations".to_string(),
-                Json::Num(self.generations as f64),
-            ),
-            (
-                "evaluations".to_string(),
-                Json::Num(self.evaluations as f64),
-            ),
-            (
-                "best_fitness".to_string(),
-                Json::Num(self.best_fitness as f64),
-            ),
-            (
-                "best_genome".to_string(),
-                Json::Str(self.best_genome.clone()),
-            ),
-            ("converged".to_string(), Json::Bool(self.converged)),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ProblemRow, ManifestError> {
-        let ctx = |name: &str| format!("problems[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let string = |name: &str| {
-            Ok::<String, ManifestError>(
-                field(name)?
-                    .as_str()
-                    .ok_or_else(|| ManifestError::BadField(ctx(name)))?
-                    .to_string(),
-            )
-        };
-        let converged = field("converged")?
-            .as_bool()
-            .ok_or_else(|| ManifestError::BadField(ctx("converged")))?;
-        Ok(ProblemRow {
-            problem: string("problem")?,
-            width: uint("width")?,
-            seed: uint("seed")?,
-            generations: uint("generations")?,
-            evaluations: uint("evaluations")?,
-            best_fitness: uint("best_fitness")?,
-            best_genome: string("best_genome")?,
-            converged,
-        })
-    }
-}
-
-/// One multi-objective campaign's summary line in a [`RunManifest`]: a
-/// seeded NSGA-II run (or a walk-table scoring pass) and the shape of the
-/// front it produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoRow {
-    /// Campaign identifier (e.g. `"nsga2_walk"`, `"max_set_walk_table"`).
-    pub campaign: String,
-    /// The RNG seed the campaign consumed.
-    pub seed: u64,
-    /// Population size (or sample size for scoring passes).
-    pub population: u64,
-    /// Generations executed (0 for scoring passes).
-    pub generations: u64,
-    /// Objective-vector evaluations performed.
-    pub evaluations: u64,
-    /// Members of the final Pareto front.
-    pub front_size: u64,
-    /// Objective names, in vector order.
-    pub objectives: Vec<String>,
-    /// Best value reached per objective (maximized), index-aligned with
-    /// `objectives`.
-    pub best: Vec<f64>,
-}
-
-impl ParetoRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("campaign".to_string(), Json::Str(self.campaign.clone())),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
-            ("population".to_string(), Json::Num(self.population as f64)),
-            (
-                "generations".to_string(),
-                Json::Num(self.generations as f64),
-            ),
-            (
-                "evaluations".to_string(),
-                Json::Num(self.evaluations as f64),
-            ),
-            ("front_size".to_string(), Json::Num(self.front_size as f64)),
-            (
-                "objectives".to_string(),
-                Json::Arr(
-                    self.objectives
-                        .iter()
-                        .map(|o| Json::Str(o.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "best".to_string(),
-                Json::Arr(self.best.iter().map(|&b| Json::Num(b)).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ParetoRow, ManifestError> {
-        let ctx = |name: &str| format!("pareto[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let objectives = field("objectives")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("objectives")))?
-            .iter()
-            .map(|o| {
-                o.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ManifestError::BadField(ctx("objectives")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let best = field("best")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("best")))?
-            .iter()
-            .map(|b| {
-                b.as_f64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("best")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParetoRow {
-            campaign: field("campaign")?
-                .as_str()
-                .ok_or_else(|| ManifestError::BadField(ctx("campaign")))?
-                .to_string(),
-            seed: uint("seed")?,
-            population: uint("population")?,
-            generations: uint("generations")?,
-            evaluations: uint("evaluations")?,
-            front_size: uint("front_size")?,
-            objectives,
-            best,
-        })
-    }
-}
-
-/// One server load-run summary line in a [`RunManifest`]: how one route
-/// fared under one client concurrency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerRow {
-    /// Route identifier as `"METHOD /path"` (e.g. `"POST /evolve"`), or
-    /// `"ALL"` for a mixed-route aggregate.
-    pub route: String,
-    /// Concurrent clients driving the server during the measurement.
-    pub clients: u64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Responses with a 2xx status.
-    pub ok: u64,
-    /// Responses with a non-2xx status (or transport failures).
-    pub errors: u64,
-    /// Median request latency in microseconds.
-    pub p50_micros: f64,
-    /// 99th-percentile request latency in microseconds.
-    pub p99_micros: f64,
-    /// Mean request latency in microseconds.
-    pub mean_micros: f64,
-    /// Completed requests per second over the measurement window.
-    pub rps: f64,
-}
-
-impl ServerRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("route".to_string(), Json::Str(self.route.clone())),
-            ("clients".to_string(), Json::Num(self.clients as f64)),
-            ("requests".to_string(), Json::Num(self.requests as f64)),
-            ("ok".to_string(), Json::Num(self.ok as f64)),
-            ("errors".to_string(), Json::Num(self.errors as f64)),
-            ("p50_micros".to_string(), Json::Num(self.p50_micros)),
-            ("p99_micros".to_string(), Json::Num(self.p99_micros)),
-            ("mean_micros".to_string(), Json::Num(self.mean_micros)),
-            ("rps".to_string(), Json::Num(self.rps)),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ServerRow, ManifestError> {
-        let ctx = |name: &str| format!("server[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let num = |name: &str| {
-            field(name)?
-                .as_f64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        Ok(ServerRow {
-            route: field("route")?
-                .as_str()
-                .ok_or_else(|| ManifestError::BadField(ctx("route")))?
-                .to_string(),
-            clients: uint("clients")?,
-            requests: uint("requests")?,
-            ok: uint("ok")?,
-            errors: uint("errors")?,
-            p50_micros: num("p50_micros")?,
-            p99_micros: num("p99_micros")?,
-            mean_micros: num("mean_micros")?,
-            rps: num("rps")?,
-        })
-    }
-}
-
-/// One exhaustive-sweep summary line in a [`RunManifest`]: what slice of
-/// the genome space was swept under which partitioning, and what the
-/// landscape looked like.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LandscapeRow {
-    /// Width of the swept subspace in genome bits (36 = the full space).
-    pub subspace_bits: u64,
-    /// Shards the space was partitioned into.
-    pub shards: u64,
-    /// Worker threads used.
-    pub threads: u64,
-    /// Genomes actually swept (`2^subspace_bits` for a complete run).
-    pub genomes_swept: u64,
-    /// The spec's maximum fitness level.
-    pub max_fitness: u64,
-    /// Exact cardinality of the maximum-fitness set.
-    pub max_count: u64,
-    /// Exact genome count per fitness level, index = fitness value
-    /// (length `max_fitness + 1`).
-    pub histogram: Vec<u64>,
-}
-
-impl LandscapeRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "subspace_bits".to_string(),
-                Json::Num(self.subspace_bits as f64),
-            ),
-            ("shards".to_string(), Json::Num(self.shards as f64)),
-            ("threads".to_string(), Json::Num(self.threads as f64)),
-            (
-                "genomes_swept".to_string(),
-                Json::Num(self.genomes_swept as f64),
-            ),
-            (
-                "max_fitness".to_string(),
-                Json::Num(self.max_fitness as f64),
-            ),
-            ("max_count".to_string(), Json::Num(self.max_count as f64)),
-            (
-                "histogram".to_string(),
-                Json::Arr(
-                    self.histogram
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<LandscapeRow, ManifestError> {
-        let ctx = |name: &str| format!("landscape[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let histogram = field("histogram")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("histogram")))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("histogram")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LandscapeRow {
-            subspace_bits: uint("subspace_bits")?,
-            shards: uint("shards")?,
-            threads: uint("threads")?,
-            genomes_swept: uint("genomes_swept")?,
-            max_fitness: uint("max_fitness")?,
-            max_count: uint("max_count")?,
-            histogram,
-        })
-    }
-}
-
-/// One fault campaign's summary line in a [`RunManifest`]: which model
-/// was injected at what rate on which engine, and how the lanes fared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignRow {
-    /// Fault-model identifier (e.g. `"population_flip"`).
-    pub model: String,
-    /// Engine identifier (`"rtl_scalar"` / `"rtl_x64"`).
-    pub engine: String,
-    /// Faults per generation per lane.
-    pub rate: f64,
-    /// Lanes (trials) the campaign ran.
-    pub lanes: u64,
-    /// Lanes that reconverged with a genuinely maximal best genome.
-    pub recovered: u64,
-    /// Lanes whose best register was flagged as silently corrupted.
-    pub corrupted: u64,
-    /// Lanes that never reconverged within the generation budget.
-    pub permanent_failures: u64,
-    /// Mean convergence-cost delta (faulted − fault-free generations)
-    /// over recovered lanes, when any lane qualified.
-    pub mean_cost_delta: Option<f64>,
-}
-
-impl CampaignRow {
-    fn to_json(&self) -> Json {
-        let mut obj = vec![
-            ("model".to_string(), Json::Str(self.model.clone())),
-            ("engine".to_string(), Json::Str(self.engine.clone())),
-            ("rate".to_string(), Json::Num(self.rate)),
-            ("lanes".to_string(), Json::Num(self.lanes as f64)),
-            ("recovered".to_string(), Json::Num(self.recovered as f64)),
-            ("corrupted".to_string(), Json::Num(self.corrupted as f64)),
-            (
-                "permanent_failures".to_string(),
-                Json::Num(self.permanent_failures as f64),
-            ),
-        ];
-        if let Some(delta) = self.mean_cost_delta {
-            obj.push(("mean_cost_delta".to_string(), Json::Num(delta)));
-        }
-        Json::Obj(obj)
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<CampaignRow, ManifestError> {
-        let ctx = |name: &str| format!("campaigns[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let string = |name: &str| {
-            Ok::<String, ManifestError>(
-                field(name)?
-                    .as_str()
-                    .ok_or_else(|| ManifestError::BadField(ctx(name)))?
-                    .to_string(),
-            )
-        };
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let mean_cost_delta = match v.get("mean_cost_delta") {
-            None => None,
-            Some(d) => Some(
-                d.as_f64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("mean_cost_delta")))?,
-            ),
-        };
-        Ok(CampaignRow {
-            model: string("model")?,
-            engine: string("engine")?,
-            rate: field("rate")?
-                .as_f64()
-                .ok_or_else(|| ManifestError::BadField(ctx("rate")))?,
-            lanes: uint("lanes")?,
-            recovered: uint("recovered")?,
-            corrupted: uint("corrupted")?,
-            permanent_failures: uint("permanent_failures")?,
-            mean_cost_delta,
-        })
-    }
+    /// Summary rows, one list per entry of [`SECTIONS`]; read them with
+    /// [`RunManifest::rows`] and add them with [`RunManifest::push_row`].
+    rows: [Vec<Json>; SECTIONS.len()],
 }
 
 impl RunManifest {
@@ -523,11 +251,7 @@ impl RunManifest {
             wall_seconds: 0.0,
             simulated_cycles: None,
             events_file: None,
-            campaigns: Vec::new(),
-            landscape: Vec::new(),
-            server: Vec::new(),
-            pareto: Vec::new(),
-            problems: Vec::new(),
+            rows: Default::default(),
         }
     }
 
@@ -540,6 +264,36 @@ impl RunManifest {
     /// Look up a recorded parameter by name.
     pub fn param(&self, name: &str) -> Option<f64> {
         self.params.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+    }
+
+    /// The rows of `section`, in the order they were pushed or read.
+    ///
+    /// # Panics
+    /// Panics if [`SECTIONS`] does not declare `section`.
+    pub fn rows(&self, section: &str) -> &[Json] {
+        let s = section_index(section)
+            .unwrap_or_else(|| panic!("no manifest section `{section}` is declared"));
+        &self.rows[s]
+    }
+
+    /// Append `row` to `section`, its columns put in declared order.
+    /// Rows render grouped by section in [`SECTIONS`] order, whatever
+    /// order they were pushed in.
+    ///
+    /// # Panics
+    /// Panics, naming the row's `section[i]` or `section[i].column`
+    /// path, if `section` is not declared or `row` misses a column, holds
+    /// one of the wrong kind or carries one the section does not declare
+    /// — a row the reader would reject.
+    pub fn push_row(&mut self, section: &str, row: Json) {
+        let Some(s) = section_index(section) else {
+            panic!("cannot push {section}[0]: no manifest section `{section}` is declared");
+        };
+        let i = self.rows[s].len();
+        match checked_row(SECTIONS[s], i, &row) {
+            Ok(row) => self.rows[s].push(row),
+            Err(e) => panic!("cannot push {section}[{i}]: {e}"),
+        }
     }
 
     /// Render as a JSON tree.
@@ -585,35 +339,10 @@ impl RunManifest {
         if let Some(file) = &self.events_file {
             obj.push(("events_file".to_string(), Json::Str(file.clone())));
         }
-        if !self.campaigns.is_empty() {
-            obj.push((
-                "campaigns".to_string(),
-                Json::Arr(self.campaigns.iter().map(CampaignRow::to_json).collect()),
-            ));
-        }
-        if !self.landscape.is_empty() {
-            obj.push((
-                "landscape".to_string(),
-                Json::Arr(self.landscape.iter().map(LandscapeRow::to_json).collect()),
-            ));
-        }
-        if !self.server.is_empty() {
-            obj.push((
-                "server".to_string(),
-                Json::Arr(self.server.iter().map(ServerRow::to_json).collect()),
-            ));
-        }
-        if !self.pareto.is_empty() {
-            obj.push((
-                "pareto".to_string(),
-                Json::Arr(self.pareto.iter().map(ParetoRow::to_json).collect()),
-            ));
-        }
-        if !self.problems.is_empty() {
-            obj.push((
-                "problems".to_string(),
-                Json::Arr(self.problems.iter().map(ProblemRow::to_json).collect()),
-            ));
+        for (&(section, _), rows) in SECTIONS.iter().zip(&self.rows) {
+            if !rows.is_empty() {
+                obj.push((section.to_string(), Json::Arr(rows.clone())));
+            }
         }
         Json::Obj(obj)
     }
@@ -697,56 +426,18 @@ impl RunManifest {
                     .to_string(),
             ),
         };
-        let campaigns = match root.get("campaigns") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("campaigns".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| CampaignRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let landscape = match root.get("landscape") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("landscape".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| LandscapeRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let server = match root.get("server") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("server".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ServerRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let pareto = match root.get("pareto") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("pareto".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ParetoRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let problems = match root.get("problems") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("problems".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ProblemRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        let mut rows: [Vec<Json>; SECTIONS.len()] = Default::default();
+        for (&(section, columns), rows) in SECTIONS.iter().zip(&mut rows) {
+            if let Some(v) = root.get(section) {
+                *rows = v
+                    .as_array()
+                    .ok_or_else(|| ManifestError::BadField(section.to_string()))?
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| checked_row((section, columns), i, row))
+                    .collect::<Result<_, _>>()?;
+            }
+        }
         Ok(RunManifest {
             schema_version,
             experiment: string("experiment")?,
@@ -760,11 +451,7 @@ impl RunManifest {
             wall_seconds: num("wall_seconds")?,
             simulated_cycles,
             events_file,
-            campaigns,
-            landscape,
-            server,
-            pareto,
-            problems,
+            rows,
         })
     }
 
@@ -789,7 +476,8 @@ pub enum ManifestError {
     Parse(ParseError),
     /// A required field is absent.
     Missing(String),
-    /// A field has the wrong type or an unrepresentable value.
+    /// A field has the wrong type or an unrepresentable value, or a row
+    /// carries a column its section does not declare.
     BadField(String),
     /// The manifest was written by a newer schema than this crate knows.
     Version(u64),
@@ -801,7 +489,12 @@ impl std::fmt::Display for ManifestError {
             ManifestError::Io(e) => write!(f, "manifest I/O error: {e}"),
             ManifestError::Parse(e) => write!(f, "manifest is not valid JSON: {e}"),
             ManifestError::Missing(k) => write!(f, "manifest field `{k}` is missing"),
-            ManifestError::BadField(k) => write!(f, "manifest field `{k}` has the wrong type"),
+            ManifestError::BadField(k) => {
+                write!(
+                    f,
+                    "manifest field `{k}` has the wrong type or is not declared"
+                )
+            }
             ManifestError::Version(v) => {
                 write!(
                     f,
@@ -872,6 +565,20 @@ mod tests {
         m
     }
 
+    fn row(text: &str) -> Json {
+        Json::parse(text).expect("test rows are valid JSON")
+    }
+
+    const LANDSCAPE_ROW: &str = r#"{"subspace_bits":36,"shards":256,"threads":8,
+        "genomes_swept":68719476736,"max_fitness":26,"max_count":86436,
+        "histogram":[0,1000,2000,3000,4000,5000,6000,7000,8000,9000,10000,11000,
+        12000,13000,14000,15000,16000,17000,18000,19000,20000,21000,22000,23000,
+        24000,25000,26000]}"#;
+
+    const PROBLEM_ROW: &str = r#"{"problem":"fsm_traces","width":24,"seed":4096,
+        "generations":13,"evaluations":448,"best_fitness":64,"best_genome":"0x00c0de",
+        "converged":true}"#;
+
     #[test]
     fn round_trips_through_json_text() {
         let m = sample();
@@ -888,30 +595,29 @@ mod tests {
         let back = RunManifest::from_json_str(&m.to_json().to_string()).unwrap();
         assert_eq!(back.simulated_cycles, None);
         assert_eq!(back.events_file, None);
-        assert!(back.campaigns.is_empty(), "absent campaigns parse as none");
-        assert!(back.landscape.is_empty(), "absent landscape parses as none");
-        assert!(back.server.is_empty(), "absent server rows parse as none");
+        for &(section, _) in SECTIONS {
+            assert!(
+                back.rows(section).is_empty(),
+                "absent {section} parse as none"
+            );
+        }
     }
 
     #[test]
     fn server_rows_round_trip() {
         let mut m = sample();
-        m.server = vec![ServerRow {
-            route: "POST /evolve".to_string(),
-            clients: 4,
-            requests: 64,
-            ok: 64,
-            errors: 0,
-            p50_micros: 812.5,
-            p99_micros: 2190.0,
-            mean_micros: 901.25,
-            rps: 1034.7,
-        }];
+        m.push_row(
+            "server",
+            row(
+                r#"{"route":"POST /evolve","clients":4,"requests":64,"ok":64,"errors":0,
+                "p50_micros":812.5,"p99_micros":2190,"mean_micros":901.25,"rps":1034.7}"#,
+            ),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"server\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.server[0].clients, 4);
+        assert_eq!(back.rows("server")[0].get("clients"), Some(&Json::Num(4.0)));
     }
 
     #[test]
@@ -921,7 +627,7 @@ mod tests {
             "plane_width":512,"wall_seconds":0.25}"#;
         let back = RunManifest::from_json_str(v4).expect("v4 manifests stay readable");
         assert_eq!(back.schema_version, 4);
-        assert!(back.server.is_empty());
+        assert!(back.rows("server").is_empty());
         let bad = r#"{"schema_version":5,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "server":[{"route":"GET /healthz"}]}"#;
@@ -934,21 +640,18 @@ mod tests {
     #[test]
     fn landscape_rows_round_trip() {
         let mut m = sample();
-        m.landscape = vec![LandscapeRow {
-            subspace_bits: 36,
-            shards: 256,
-            threads: 8,
-            genomes_swept: 68_719_476_736,
-            max_fitness: 26,
-            max_count: 86_436,
-            histogram: (0..27).map(|v| v * 1000).collect(),
-        }];
+        m.push_row("landscape", row(LANDSCAPE_ROW));
         let text = m.to_json().to_string();
         assert!(text.contains("\"landscape\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.landscape[0].genomes_swept, 68_719_476_736);
-        assert_eq!(back.landscape[0].histogram.len(), 27);
+        let landscape = &back.rows("landscape")[0];
+        assert_eq!(
+            landscape.get("genomes_swept").and_then(Json::as_u64),
+            Some(68_719_476_736)
+        );
+        let histogram = landscape.get("histogram").and_then(Json::as_array);
+        assert_eq!(histogram.map(<[Json]>::len), Some(27));
     }
 
     #[test]
@@ -959,14 +662,15 @@ mod tests {
             "lanes":64,"recovered":63,"corrupted":0,"permanent_failures":1}]}"#;
         let back = RunManifest::from_json_str(v2).expect("v2 manifests stay readable");
         assert_eq!(back.schema_version, 2);
-        assert_eq!(back.campaigns.len(), 1);
-        assert!(back.landscape.is_empty());
+        assert_eq!(back.rows("campaigns").len(), 1);
+        assert!(back.rows("landscape").is_empty());
+        // the checker reports the first missing column in declared order
         let bad = r#"{"schema_version":3,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "landscape":[{"subspace_bits":24}]}"#;
         assert!(matches!(
             RunManifest::from_json_str(bad),
-            Err(ManifestError::Missing(field)) if field == "landscape[0].histogram"
+            Err(ManifestError::Missing(field)) if field == "landscape[0].shards"
         ));
     }
 
@@ -999,25 +703,26 @@ mod tests {
     #[test]
     fn pareto_rows_round_trip() {
         let mut m = sample();
-        m.pareto = vec![ParetoRow {
-            campaign: "nsga2_walk".to_string(),
-            seed: 0x1000,
-            population: 32,
-            generations: 120,
-            evaluations: 3872,
-            front_size: 9,
-            objectives: vec![
-                "distance_mm".to_string(),
-                "min_margin_mm".to_string(),
-                "neg_energy_j".to_string(),
-            ],
-            best: vec![612.5, 14.25, -18.75],
-        }];
+        m.push_row(
+            "pareto",
+            row(
+                r#"{"campaign":"nsga2_walk","seed":4096,"population":32,"generations":120,
+                "evaluations":3872,"front_size":9,
+                "objectives":["distance_mm","min_margin_mm","neg_energy_j"],
+                "best":[612.5,14.25,-18.75]}"#,
+            ),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"pareto\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.pareto[0].objectives.len(), back.pareto[0].best.len());
+        let list_len = |name| {
+            back.rows("pareto")[0]
+                .get(name)
+                .and_then(Json::as_array)
+                .map(<[Json]>::len)
+        };
+        assert_eq!(list_len("objectives"), list_len("best"));
     }
 
     #[test]
@@ -1029,8 +734,8 @@ mod tests {
             "p50_micros":1,"p99_micros":2,"mean_micros":1.5,"rps":100}]}"#;
         let back = RunManifest::from_json_str(v5).expect("v5 manifests stay readable");
         assert_eq!(back.schema_version, 5);
-        assert!(back.pareto.is_empty());
-        assert_eq!(back.server.len(), 1);
+        assert!(back.rows("pareto").is_empty());
+        assert_eq!(back.rows("server").len(), 1);
         let bad = r#"{"schema_version":6,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "pareto":[{"campaign":"nsga2_walk","objectives":[],"best":[]}]}"#;
@@ -1043,34 +748,22 @@ mod tests {
     #[test]
     fn problem_rows_round_trip() {
         let mut m = sample();
-        m.problems = vec![
-            ProblemRow {
-                problem: "fsm_traces".to_string(),
-                width: 24,
-                seed: 0x1000,
-                generations: 13,
-                evaluations: 448,
-                best_fitness: 64,
-                best_genome: "0x00c0de".to_string(),
-                converged: true,
-            },
-            ProblemRow {
-                problem: "serial_adder".to_string(),
-                width: 16,
-                seed: 0x1007,
-                generations: 4000,
-                evaluations: 128_032,
-                best_fitness: 47,
-                best_genome: "0xbeef".to_string(),
-                converged: false,
-            },
-        ];
+        m.push_row("problems", row(PROBLEM_ROW));
+        m.push_row(
+            "problems",
+            row(
+                r#"{"problem":"serial_adder","width":16,"seed":4103,"generations":4000,
+                "evaluations":128032,"best_fitness":47,"best_genome":"0xbeef",
+                "converged":false}"#,
+            ),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"problems\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert!(back.problems[0].converged);
-        assert!(!back.problems[1].converged);
+        let converged = |i: usize| back.rows("problems")[i].get("converged").cloned();
+        assert_eq!(converged(0), Some(Json::Bool(true)));
+        assert_eq!(converged(1), Some(Json::Bool(false)));
     }
 
     #[test]
@@ -1083,8 +776,8 @@ mod tests {
             "objectives":["distance_mm"],"best":[612.5]}]}"#;
         let back = RunManifest::from_json_str(v6).expect("v6 manifests stay readable");
         assert_eq!(back.schema_version, 6);
-        assert!(back.problems.is_empty());
-        assert_eq!(back.pareto.len(), 1);
+        assert!(back.rows("problems").is_empty());
+        assert_eq!(back.rows("pareto").len(), 1);
         let bad = r#"{"schema_version":7,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "problems":[{"problem":"gait","width":36,"converged":true}]}"#;
@@ -1105,33 +798,25 @@ mod tests {
     #[test]
     fn campaign_rows_round_trip() {
         let mut m = sample();
-        m.campaigns = vec![
-            CampaignRow {
-                model: "population_flip".to_string(),
-                engine: "rtl_x64".to_string(),
-                rate: 5.0,
-                lanes: 64,
-                recovered: 63,
-                corrupted: 0,
-                permanent_failures: 1,
-                mean_cost_delta: Some(812.5),
-            },
-            CampaignRow {
-                model: "genome_reg_flip".to_string(),
-                engine: "rtl_scalar".to_string(),
-                rate: 1.0,
-                lanes: 8,
-                recovered: 6,
-                corrupted: 2,
-                permanent_failures: 0,
-                mean_cost_delta: None,
-            },
-        ];
+        m.push_row(
+            "campaigns",
+            row(
+                r#"{"model":"population_flip","engine":"rtl_x64","rate":5,"lanes":64,
+                "recovered":63,"corrupted":0,"permanent_failures":1,"mean_cost_delta":812.5}"#,
+            ),
+        );
+        m.push_row(
+            "campaigns",
+            row(
+                r#"{"model":"genome_reg_flip","engine":"rtl_scalar","rate":1,"lanes":8,
+                "recovered":6,"corrupted":2,"permanent_failures":0}"#,
+            ),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"campaigns\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.campaigns[1].mean_cost_delta, None);
+        assert_eq!(back.rows("campaigns")[1].get("mean_cost_delta"), None);
     }
 
     #[test]
@@ -1140,7 +825,7 @@ mod tests {
             "created_unix":0,"params":{},"seeds":[4096],"threads":1,"wall_seconds":0.5}"#;
         let back = RunManifest::from_json_str(v1).expect("v1 manifests stay readable");
         assert_eq!(back.schema_version, 1);
-        assert!(back.campaigns.is_empty());
+        assert!(back.rows("campaigns").is_empty());
         let bad = r#"{"schema_version":2,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "campaigns":[{"model":"population_flip"}]}"#;
@@ -1148,6 +833,63 @@ mod tests {
             RunManifest::from_json_str(bad),
             Err(ManifestError::Missing(field)) if field == "campaigns[0].engine"
         ));
+    }
+
+    #[test]
+    fn push_row_rejects_what_the_reader_rejects_and_keeps_declared_order() {
+        let push_panic = |section: &str, row: Json| {
+            let mut m = sample();
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.push_row(section, row)))
+                    .expect_err("push_row must refuse the row");
+            payload.downcast::<String>().map(|s| *s).unwrap_or_default()
+        };
+        let cases = [
+            // a missing column
+            (
+                "landscape",
+                LANDSCAPE_ROW.replace(r#""shards":256,"#, ""),
+                "landscape[0].shards",
+            ),
+            // a column of the wrong kind
+            (
+                "landscape",
+                LANDSCAPE_ROW.replace("[0,", r#"["0","#),
+                "landscape[0].histogram",
+            ),
+            // a column the section does not declare
+            (
+                "landscape",
+                LANDSCAPE_ROW.replace('{', r#"{"wall":1,"#),
+                "landscape[0].wall",
+            ),
+            // a section SECTIONS does not declare
+            ("landscapes", LANDSCAPE_ROW.to_string(), "landscapes[0]"),
+        ];
+        for (section, text, path) in cases {
+            let message = push_panic(section, row(&text));
+            assert!(message.contains(path), "`{message}` does not name {path}");
+        }
+
+        // rows file under their section, and columns under their
+        // declaration, whatever order they were pushed in
+        let mut m = sample();
+        m.push_row("problems", row(PROBLEM_ROW));
+        m.push_row("landscape", row(LANDSCAPE_ROW));
+        m.push_row(
+            "problems",
+            row(&PROBLEM_ROW
+                .replace(r#""problem":"fsm_traces","#, "")
+                .replace(
+                    r#""converged":true"#,
+                    r#""converged":true,"problem":"gait""#,
+                )),
+        );
+        let text = m.to_json().to_string();
+        let at = |key: &str| text.find(key).unwrap_or_else(|| panic!("{key} rendered"));
+        assert!(at("\"landscape\"") < at("\"problems\""));
+        assert!(at("\"problem\":\"gait\",\"width\"") > at("\"problem\":\"fsm_traces\""));
+        assert_eq!(RunManifest::from_json_str(&text).expect("parse back"), m);
     }
 
     #[test]

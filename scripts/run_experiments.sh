@@ -50,12 +50,12 @@ run e15_landscape --checkpoint "$OUT/e15_landscape.checkpoint"
 # NSGA-II gait fronts + the 512-genome max-set walk table (pareto
 # manifest rows; see docs/PARETO.md)
 run e16_pareto
-# evolvable-problem registry campaigns + subspace sweeps (schema-v7
-# problem manifest rows; see docs/PROBLEMS.md)
+# evolvable-problem registry campaigns + subspace sweeps (`problems`
+# and `landscape` manifest rows; see docs/PROBLEMS.md)
 run e17_fsm
 
 # the server latency report: serve the engines over HTTP, sweep client
-# concurrency with loadgen, record the passes in a schema-v5 manifest
+# concurrency with loadgen, record the passes as `server` manifest rows
 # (see docs/SERVER.md); regenerates BENCH_PR8.json at the repo root
 echo "=== running server_latency (leonardo-server + loadgen) ===" | tee -a "$OUT/run.log"
 t0=$(date +%s)

@@ -15,7 +15,8 @@ use evo::ga::{Ga, GaConfig};
 use leonardo_bench::{problem_campaigns, problem_row, GaitRuleProblem};
 use leonardo_problems::{GaitProblem, ProblemSpec};
 use leonardo_rtl::bitslice::W256;
-use leonardo_telemetry::{ProblemRow, RunManifest};
+use leonardo_telemetry::json::Json;
+use leonardo_telemetry::RunManifest;
 
 /// One full GAP-configured run per path, same seed, compared field by
 /// field. 1000 generations with no target so neither path stops early.
@@ -86,7 +87,7 @@ fn gait_campaigns_are_width_and_thread_unobservable() {
 fn manifest_problem_rows_are_identical_across_configurations() {
     let spec = ProblemSpec::find("gait").expect("registered");
     let seeds = [0x1015u64];
-    let rows_of = |trials: &[leonardo_bench::ProblemTrial]| -> Vec<ProblemRow> {
+    let rows_of = |trials: &[leonardo_bench::ProblemTrial]| -> Vec<Json> {
         trials.iter().map(|t| problem_row(spec, t)).collect()
     };
     let narrow = rows_of(&problem_campaigns::<u64>(spec, &seeds, 200, 1));
@@ -95,9 +96,12 @@ fn manifest_problem_rows_are_identical_across_configurations() {
 
     // and the rows survive a manifest round-trip byte-for-byte
     let mut manifest = RunManifest::new("gait_as_problem_pin");
-    manifest.problems = narrow.clone();
+    for row in &narrow {
+        manifest.push_row("problems", row.clone());
+    }
     let back = RunManifest::from_json_str(&manifest.to_json().to_string()).expect("parse back");
-    assert_eq!(back.problems, narrow);
-    assert_eq!(back.problems[0].problem, "gait");
-    assert_eq!(back.problems[0].width, 36);
+    assert_eq!(back.rows("problems"), narrow);
+    let first = &back.rows("problems")[0];
+    assert_eq!(first.get("problem").and_then(Json::as_str), Some("gait"));
+    assert_eq!(first.get("width").and_then(Json::as_u64), Some(36));
 }

@@ -77,7 +77,7 @@ fn e1_stream_manifest_and_recomputed_mean() {
         .with_max_generations(MAX_GENS)
         .run_x64(&fault_seeds);
     report.verify().expect("recovery oracle");
-    session.add_campaign(report.manifest_row());
+    session.add_row("campaigns", report.manifest_row());
     let campaign_cycles: u64 = report.lanes.iter().map(|l| l.cycles).sum();
     assert_eq!(
         session.aggregator().events("fault.recovery").len(),
@@ -162,15 +162,18 @@ fn e1_stream_manifest_and_recomputed_mean() {
     );
     assert!(back.wall_seconds > 0.0);
     // the campaign summary row survives the disk round-trip
-    assert_eq!(back.campaigns.len(), 1);
-    assert_eq!(back.campaigns[0].model, "population_flip");
-    assert_eq!(back.campaigns[0].engine, "rtl_x64");
-    assert_eq!(back.campaigns[0].lanes as usize, fault_seeds.len());
+    assert_eq!(back.rows("campaigns").len(), 1);
+    let row = &back.rows("campaigns")[0];
+    let uint = |k| row.get(k).and_then(Json::as_u64).expect(k);
     assert_eq!(
-        back.campaigns[0].recovered
-            + back.campaigns[0].corrupted
-            + back.campaigns[0].permanent_failures,
-        back.campaigns[0].lanes
+        row.get("model").and_then(Json::as_str),
+        Some("population_flip")
+    );
+    assert_eq!(row.get("engine").and_then(Json::as_str), Some("rtl_x64"));
+    assert_eq!(uint("lanes") as usize, fault_seeds.len());
+    assert_eq!(
+        uint("recovered") + uint("corrupted") + uint("permanent_failures"),
+        uint("lanes")
     );
 
     let _ = std::fs::remove_dir_all(&dir);
