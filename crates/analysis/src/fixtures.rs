@@ -3,13 +3,15 @@
 //! and must exit nonzero — the tests of the tests.
 
 use discipulus::fitness::{FitnessSpec, Rule};
-use discipulus::genome::{Genome, LegGene, LegId, StepId};
+use discipulus::gates::{fitness_check_bits, SCORE_BITS};
+use discipulus::genome::{Genome, LegGene, LegId, StepId, GENOME_BITS};
 use leonardo_landscape::{Shard, ShardPlan};
 use leonardo_rtl::bitslice::PlaneWidth;
 use leonardo_rtl::control::GapControlFsm;
 use leonardo_rtl::fitness_rtl::FitnessUnit;
 use leonardo_rtl::netlist::{DesignNetlist, StaticNetlist};
 use leonardo_rtl::resources::Resources;
+use leonardo_rtl::semantics::{Lit, SeqCircuit};
 
 /// A unit with a combinational feedback path no register cuts:
 /// `a -> b -> a` through two wires.
@@ -99,6 +101,32 @@ pub fn broken_shard_plan() -> ShardPlan {
 /// can tell, and it must return a concrete counterexample genome.
 pub fn bad_fitness_unit() -> FitnessUnit {
     FitnessUnit::new(FitnessSpec::without(Rule::Equilibrium))
+}
+
+/// A rule network whose first equilibrium check reads both body sides:
+/// "not all of LF, LM and RF raised before step 1" instead of the left
+/// side's three legs. It is a plausible 26-check score (max 26, the
+/// tripod still scores it), but the landscape no longer splits into a
+/// left and a right part, so the closed form would be wrong for it; only
+/// the side-separability proof can tell, with a counterexample genome.
+pub fn coupled_sides() -> SeqCircuit {
+    let mut sc = SeqCircuit::new("coupled_sides");
+    let genome: [Lit; GENOME_BITS] = sc
+        .input("genome", GENOME_BITS)
+        .try_into()
+        .expect("genome width");
+    let c = &mut sc.circuit;
+    let mut checks = fitness_check_bits(c, &genome);
+    let pre = |leg: LegId| genome[Genome::bit_position(StepId::One, leg, 0)];
+    let raised = c.and3(
+        pre(LegId::LeftFront),
+        pre(LegId::LeftMiddle),
+        pre(LegId::RightFront), // the defect: a right leg in a left check
+    );
+    checks[0] = raised.not();
+    let score = c.popcount(&checks, SCORE_BITS);
+    sc.output("fitness", score);
+    sc
 }
 
 /// A "miscompiled" plane width: the 128-lane batch GAP with one

@@ -11,7 +11,8 @@
 //!                                  broken-shard-plan | bad-fitness-unit |
 //!                                  two-writer-ram | broken-plane-kernel |
 //!                                  broken-doc-link | undocumented-route |
-//!                                  bad-objective | bad-problem
+//!                                  bad-objective | bad-problem |
+//!                                  coupled-sides
 //! ```
 //!
 //! With `--json`, stdout carries exactly one JSON object per finding
@@ -246,6 +247,9 @@ fn run_fixture(name: &str, json: bool) -> ExitCode {
         "trap-genome" => check_genome(fixtures::trap_genome()),
         "broken-shard-plan" => check_shard_plan(&fixtures::broken_shard_plan()),
         "bad-fitness-unit" => symbolic::miter_fitness_unit(&fixtures::bad_fitness_unit()).findings,
+        "coupled-sides" => {
+            symbolic::check_side_separability(&fixtures::coupled_sides(), "coupled_sides").findings
+        }
         "two-writer-ram" => symbolic::check_control_invariant(&fixtures::two_writer_ram()).findings,
         "broken-plane-kernel" => {
             check_plane_registry(&[fixtures::broken_plane_width()], Some("w128"))

@@ -12,7 +12,10 @@
 //!   chain proven: behavioural gate spec ([`discipulus::gates`]) ↔ RTL
 //!   [`FitnessUnit`] ↔ one lane of the sliced [`FitnessUnitX64`] ↔ the
 //!   landscape sweep's per-genome function ([`BlockKernel`]), plus the
-//!   scalar [`CaRngRtl`] step ↔ one lane of [`CaRngX64`].
+//!   scalar [`CaRngRtl`] step ↔ one lane of [`CaRngX64`]. Two more
+//!   miters prove what the landscape's closed form relies on: the score
+//!   splits by body side (`F(a ∨ b) + F(0) = F(a) + F(b)` for left-only
+//!   `a`, right-only `b`) and the leg mirror keeps it.
 //! * **k-induction invariants** — a property `P` of a sequential unit is
 //!   proven by (base) no trace from reset violates `P` in the first `k`
 //!   cycles, and (step) `k` consecutive `P`-states from an *arbitrary*
@@ -38,6 +41,7 @@ use crate::solver::cnf::{assert_words_differ, CircuitInstance};
 use crate::solver::{SLit, SatResult, Solver, Stats};
 use discipulus::fitness::FitnessSpec;
 use discipulus::gates::{fitness_score_gates, GENOME_BITS};
+use discipulus::genome::{Genome, LegId, Side, BITS_PER_LEG, NUM_LEGS};
 use leonardo_landscape::BlockKernel;
 use leonardo_rtl::bitslice::{CaRngX64, FitnessUnitX64};
 use leonardo_rtl::control::{CtrlState, GapControlFsm, CTRL_STATES};
@@ -437,6 +441,128 @@ pub fn check_fitness_lane_equivalence(spec: FitnessSpec) -> SymbolicReport {
         solver.stats(),
         cex,
     );
+    report
+}
+
+/// Whether genome bit `b` belongs to a left leg.
+fn is_left_bit(b: usize) -> bool {
+    LegId::from_index(b % (NUM_LEGS * BITS_PER_LEG) / BITS_PER_LEG).side() == Side::Left
+}
+
+/// Rebuild the `fitness` output of `unit` (a combinational network with
+/// a 36-bit `genome` input) inside `c` over the literals `genome`. Copies
+/// over shared or constant inputs then hash-cons and constant-fold
+/// together before the solver sees them.
+fn fitness_in(c: &mut Circuit, unit: &SeqCircuit, genome: &[Lit]) -> Vec<Lit> {
+    let mut inputs = vec![Lit::FALSE; unit.circuit.num_inputs() as usize];
+    let port = unit.find_input("genome").expect("genome input");
+    for (&leaf, &g) in port.iter().zip(genome) {
+        inputs[leaf_of(&unit.circuit, leaf)] = g;
+    }
+    let map = |nodes: &[Lit], l: Lit| {
+        let n = nodes[l.node()];
+        if l.negated() {
+            n.not()
+        } else {
+            n
+        }
+    };
+    let mut nodes: Vec<Lit> = Vec::with_capacity(unit.circuit.len());
+    for gate in unit.circuit.gates() {
+        let lit = match *gate {
+            Gate::False => Lit::FALSE,
+            Gate::Input(k) => inputs[k as usize],
+            Gate::And(a, b) => c.and(map(&nodes, a), map(&nodes, b)),
+            Gate::Xor(a, b) => c.xor(map(&nodes, a), map(&nodes, b)),
+        };
+        nodes.push(lit);
+    }
+    let out = unit.find_output("fitness").expect("fitness output");
+    out.iter().map(|&l| map(&nodes, l)).collect()
+}
+
+/// Prove that the score of `unit` splits by body side: for **every**
+/// left-only genome `a` and right-only genome `b`,
+/// `F(a ∨ b) + F(0) = F(a) + F(b)`. This is what lets
+/// [`leonardo_landscape::closed_form`] build any subcube's histogram as
+/// the convolution of two side histograms. The `coupled-sides` fixture
+/// passes a rule network with one check reading both sides.
+pub fn check_side_separability(unit: &SeqCircuit, context: &str) -> SymbolicReport {
+    let mut report = SymbolicReport::default();
+    let started = Instant::now();
+    // `genome` is a ∨ b: its left bits are a, its right bits b
+    let mut c = Circuit::new();
+    let genome = c.new_input_word(GENOME_BITS);
+    let side = |left: bool| -> Vec<Lit> {
+        (0..GENOME_BITS)
+            .map(|b| {
+                if is_left_bit(b) == left {
+                    genome[b]
+                } else {
+                    Lit::FALSE
+                }
+            })
+            .collect()
+    };
+    let scores = [
+        fitness_in(&mut c, unit, &genome),
+        fitness_in(&mut c, unit, &[Lit::FALSE; GENOME_BITS]),
+        fitness_in(&mut c, unit, &side(true)),
+        fitness_in(&mut c, unit, &side(false)),
+    ];
+    let joint = c.add_words(&scores[0], &scores[1]);
+    let split = c.add_words(&scores[2], &scores[3]);
+    let mut solver = Solver::new();
+    let inst = CircuitInstance::new(&mut solver, &c);
+    assert_words_differ(&mut solver, &inst.word(&joint), &inst.word(&split));
+    let cex = match solver.solve() {
+        SatResult::Unsat => None,
+        SatResult::Sat => {
+            let g = model_word(&solver, &inst.word(&genome));
+            let [whole, empty, left, right] = scores.map(|w| model_word(&solver, &inst.word(&w)));
+            Some(format!(
+                "the score does not split by side at genome {g:#011x}: \
+                 F(a|b) + F(0) = {whole} + {empty} but F(a) + F(b) = {left} + {right} \
+                 (replay: `analysis genome {g:x}`)"
+            ))
+        }
+    };
+    report.record("side-separability", context, started, solver.stats(), cex);
+    report
+}
+
+/// Prove that the left↔right leg mirror ([`Genome::mirrored`]) keeps the
+/// score of `unit` for **every** genome — the closed form scores each
+/// right side as its mirrored left side.
+pub fn check_mirror_invariance(unit: &SeqCircuit, context: &str) -> SymbolicReport {
+    let mut report = SymbolicReport::default();
+    let started = Instant::now();
+    let mut c = Circuit::new();
+    let genome = c.new_input_word(GENOME_BITS);
+    // bit b of the genome is bit `to` of its mirror image
+    let mut mirrored = genome.clone();
+    for (b, &lit) in genome.iter().enumerate() {
+        let to = Genome::from_bits(1 << b).mirrored().bits().trailing_zeros();
+        mirrored[to as usize] = lit;
+    }
+    let direct = fitness_in(&mut c, unit, &genome);
+    let mirror = fitness_in(&mut c, unit, &mirrored);
+    let mut solver = Solver::new();
+    let inst = CircuitInstance::new(&mut solver, &c);
+    let (direct, mirror) = (inst.word(&direct), inst.word(&mirror));
+    assert_words_differ(&mut solver, &direct, &mirror);
+    let cex = match solver.solve() {
+        SatResult::Unsat => None,
+        SatResult::Sat => {
+            let g = model_word(&solver, &inst.word(&genome));
+            Some(format!(
+                "mirroring genome {g:#011x} changes its score from {} to {}",
+                model_word(&solver, &direct),
+                model_word(&solver, &mirror),
+            ))
+        }
+    };
+    report.record("mirror-invariance", context, started, solver.stats(), cex);
     report
 }
 
@@ -1023,6 +1149,15 @@ pub fn check_symbolic(seed: u32) -> SymbolicReport {
     report.merge(check_fitness_lane_equivalence(FitnessSpec::without(
         discipulus::fitness::Rule::Equilibrium,
     )));
+    for spec in [
+        FitnessSpec::paper(),
+        FitnessSpec::without(discipulus::fitness::Rule::Symmetry),
+    ] {
+        let unit = FitnessUnit::new(spec).semantics();
+        let context = format!("fitness_unit {}", spec_tag(spec));
+        report.merge(check_side_separability(&unit, &context));
+        report.merge(check_mirror_invariance(&unit, &context));
+    }
     report.merge(check_rng_lane_equivalence(seed));
     let fsm = GapControlFsm::new();
     report.merge(check_control_invariant(&fsm));
@@ -1076,6 +1211,46 @@ mod tests {
         let r = check_fitness_lane_equivalence(FitnessSpec::paper());
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.proofs.len(), 2);
+    }
+
+    #[test]
+    fn side_separability_and_mirror_prove_on_the_paper_and_an_ablation() {
+        use discipulus::fitness::Rule;
+        for spec in [FitnessSpec::paper(), FitnessSpec::without(Rule::Symmetry)] {
+            let unit = FitnessUnit::new(spec).semantics();
+            let mut r = check_side_separability(&unit, "unit");
+            r.merge(check_mirror_invariance(&unit, "unit"));
+            assert!(r.findings.is_empty(), "{:?}", r.findings);
+            assert_eq!(r.proofs.len(), 2);
+        }
+    }
+
+    #[test]
+    fn side_separability_catches_a_coupled_check() {
+        let unit = crate::fixtures::coupled_sides();
+        let r = check_side_separability(&unit, "coupled_sides");
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        // the reported genome must really break the split
+        let msg = &r.findings[0].message;
+        let hex = msg
+            .split("genome 0x")
+            .nth(1)
+            .and_then(|s| s.split(':').next())
+            .expect("genome in message");
+        let g = u64::from_str_radix(hex, 16).expect("hex genome");
+        let out = unit.find_output("fitness").expect("fitness");
+        let score = |bits: u64| {
+            let inputs: Vec<bool> = (0..GENOME_BITS).map(|b| bits >> b & 1 == 1).collect();
+            Circuit::word_value(&unit.circuit.eval_nodes(&inputs), out)
+        };
+        let left = (0..GENOME_BITS)
+            .filter(|&b| is_left_bit(b))
+            .fold(0u64, |m, b| m | 1 << b);
+        assert_ne!(
+            score(g) + score(0),
+            score(g & left) + score(g & !left),
+            "reported genome is not a counterexample"
+        );
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!   `max_fitness_genomes()` construction (36 x 49² = 86 436 on a full
 //!   sweep) restricted to the swept subspace: the exact count, and the
 //!   sample as its ascending capped prefix;
+//! * every shard's tally, and the merged landscape, must equal the
+//!   closed form of its block range (`closed_form_tally`: two side folds
+//!   and a convolution per aligned subcube). This checks the sweep's
+//!   sharding, wide-block masking and merge; it does not check the
+//!   kernel, which both paths run;
 //! * seeded e1-style GA winners must be members of the exhaustive max
 //!   set — evolution may only find needles the enumeration also found.
 //!
@@ -30,8 +35,8 @@ use discipulus::params::GapParams;
 use leonardo_bench::harness::{arg_or, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, ExperimentSession, Verdict};
 use leonardo_landscape::{
-    BlockKernelW, LandscapeResult, StopToken, Sweep, SweepConfig, SweepPlane, SweepStatus,
-    FULL_SWEEP_MAX_SET,
+    closed_form_tally, BlockKernelW, LandscapeResult, StopToken, Sweep, SweepConfig, SweepPlane,
+    SweepStatus, FULL_SWEEP_MAX_SET,
 };
 use leonardo_telemetry::json::Json;
 use std::time::Instant;
@@ -196,6 +201,42 @@ fn main() {
          {} genome(s), the lowest {} compared genome-for-genome",
         result.max_count,
         result.max_samples.len()
+    );
+
+    // the closed form re-derives every shard's tally, and the merged one,
+    // from two side folds and a convolution per aligned subcube: this
+    // checks the sweep's sharding, wide-block masking and merge, but not
+    // the kernel, which both paths run
+    let started = Instant::now();
+    let checkpoint = sweep.checkpoint();
+    for (shard, got) in sweep.plan().shards().iter().zip(&checkpoint.shards) {
+        let want = closed_form_tally(
+            config.spec,
+            shard.start_block..shard.end_block,
+            config.sample_cap,
+        );
+        assert!(
+            (&got.hist, got.max_count, &got.samples) == (&want.hist, want.max_count, &want.samples),
+            "shard {} (blocks {}..{}) disagrees with the closed form",
+            shard.index,
+            shard.start_block,
+            shard.end_block
+        );
+    }
+    let merged = closed_form_tally(config.spec, 0..1 << (subspace_bits - 6), config.sample_cap);
+    assert!(
+        (
+            result.histogram.counts(),
+            result.max_count,
+            &result.max_samples
+        ) == (&merged.hist[..], merged.max_count, &merged.samples),
+        "the merged landscape disagrees with the closed form"
+    );
+    println!(
+        "  every shard ({}) and the merged landscape equal the closed form \
+         (side folds + convolution, {:.1} ms)",
+        checkpoint.shards.len(),
+        started.elapsed().as_secs_f64() * 1e3
     );
 
     let (converged, checked) = ga_cross_check(&result, ga_trials, ga_max_gens);

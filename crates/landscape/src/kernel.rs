@@ -15,9 +15,9 @@
 //! maximum. [`score_masks`] is the per-level decode of the same planes:
 //! one lane mask per fitness value.
 //!
-//! The sweep and the server oracle fold at [`SweepPlane`]; the `u64`
-//! [`BlockKernel`] is the kernel the SAT miter proves and the one point
-//! queries use.
+//! The sweep and the closed form's side passes fold at [`SweepPlane`];
+//! the `u64` [`BlockKernel`] is the kernel the SAT miter proves and the
+//! one point queries use.
 
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{GENOME_BITS, GENOME_MASK};
@@ -75,7 +75,7 @@ pub struct BlockKernelW<P: Plane> {
 pub type BlockKernel = BlockKernelW<u64>;
 
 /// The plane width every exhaustive fold runs at: the sweep's shards and
-/// the server oracle's chunks go through `BlockKernelW<SweepPlane>`.
+/// the closed form's side passes go through `BlockKernelW<SweepPlane>`.
 ///
 /// Chosen from the fold, which is what a sweep runs, not from the pure
 /// kernel. `perf_report`'s fold row (one thread, 2²⁶ genomes in
@@ -203,8 +203,26 @@ impl Tally {
         blocks: Range<u64>,
         cap: usize,
     ) {
+        let genomes = blocks.start * BLOCK_GENOMES..blocks.end * BLOCK_GENOMES;
+        self.fold_runs(kernel, 0..1, 0, genomes, cap);
+    }
+
+    /// [`Tally::fold_blocks`] over the genome runs `(step << shift) + run`
+    /// for every `step` in `steps`, ascending and at genome granularity:
+    /// one run for a block range, and the strided lane runs of the closed
+    /// form's side passes ([`crate::closed_form`]). Both folds share this
+    /// one loop, so the sweep kernel is scored from one call site and
+    /// inlines into it.
+    pub(crate) fn fold_runs<P: Plane>(
+        &mut self,
+        kernel: &mut BlockKernelW<P>,
+        steps: Range<u64>,
+        shift: u32,
+        run: Range<u64>,
+        cap: usize,
+    ) {
         let top = self.hist.len() - 1;
-        let limbs = P::WORDS as u64;
+        let (lanes, limbs) = (P::LANES as u64, P::WORDS as u64);
         // count on the stack: a tally may share cache lines with another
         // thread's (the sweep's per-shard states), so the per-block loop
         // must not store into it. Limb `w` of `covered[s]` counts limb
@@ -213,18 +231,19 @@ impl Tally {
         // `top` as per-plane XOR masks: lane `l` scores `top` iff every
         // `planes[p] ^ flip[p]` has lane `l` set
         let flip: [P; SCORE_PLANES] = core::array::from_fn(|p| P::splat(top >> p & 1 == 0));
-        for wide in blocks.start / limbs..blocks.end.div_ceil(limbs) {
-            let planes = kernel.score_block(wide);
-            let first = wide * limbs;
-            // two call sites, so the interior one folds a constant
-            // all-lanes `keep` away (a runtime `keep` costs ~40% there)
-            if first < blocks.start || first + limbs > blocks.end {
-                let keep = P::from_words(|w| {
-                    0u64.wrapping_sub(u64::from(blocks.contains(&(first + w as u64))))
-                });
-                self.fold_block(&mut covered, &planes, keep, first, &flip, cap);
-            } else {
-                self.fold_block(&mut covered, &planes, P::ONES, first, &flip, cap);
+        for step in steps {
+            let genomes = (step << shift) + run.start..(step << shift) + run.end;
+            for wide in genomes.start / lanes..genomes.end.div_ceil(lanes) {
+                let planes = kernel.score_block(wide);
+                let (base, first) = (wide * lanes, wide * limbs);
+                // two call sites, so the interior one folds a constant
+                // all-lanes `keep` away (a runtime `keep` costs ~40% there)
+                if base < genomes.start || base + lanes > genomes.end {
+                    let keep = run_lanes(base, &genomes);
+                    self.fold_block(&mut covered, &planes, keep, first, &flip, cap);
+                } else {
+                    self.fold_block(&mut covered, &planes, P::ONES, first, &flip, cap);
+                }
             }
         }
         // "every bit of s set" -> "exactly s": peel one score bit at a time
@@ -237,6 +256,10 @@ impl Tally {
                 }
             }
         }
+        debug_assert!(
+            exact[top + 1..].iter().all(|&c| c == 0),
+            "a lane scored above the tally's top level"
+        );
         for (slot, count) in self.hist.iter_mut().zip(exact) {
             *slot += count;
         }
@@ -305,6 +328,23 @@ impl Tally {
         let room = cap.saturating_sub(self.samples.len());
         self.samples.extend(later.samples.iter().take(room));
     }
+}
+
+/// The lanes of the wide block of genomes `base..base + P::LANES` that
+/// lie in `genomes`. Off the fold's hot path: inlined, this genome-level
+/// mask costs the whole per-block loop about half its speed.
+#[cold]
+#[inline(never)]
+fn run_lanes<P: Plane>(base: u64, genomes: &Range<u64>) -> P {
+    P::from_words(|w| {
+        // bit `l`: genome `limb + l` lies in the run
+        let limb = base + 64 * w as u64;
+        let below = |g: u64| {
+            let n = g.clamp(limb, limb + 64) - limb;
+            u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+        };
+        below(genomes.end) & !below(genomes.start)
+    })
 }
 
 /// Gate-level semantics of the kernel's per-genome function: what fitness

@@ -22,7 +22,7 @@
 //!   through [`leonardo_rtl::bitslice::FitnessUnitXW`]'s carry-save score
 //!   planes — no transpose, no per-genome work at all — plus [`Tally`],
 //!   the one fold of those planes into a histogram and max-set sample
-//!   that the sweep and the server's oracle share. Both fold at
+//!   that the sweep and the closed form share. Both fold at
 //!   [`SweepPlane`] (512 genomes per step), the width measured fastest
 //!   for the fold; the 64-lane [`BlockKernel`] is the proven reference;
 //! * [`shard`] — deterministic disjoint contiguous shards over the block
@@ -34,6 +34,12 @@
 //!   restarts where it left off. Merged results are bit-identical for
 //!   **any** shard count and thread count.
 //!
+//! [`closed_form`] answers any block range's [`Tally`] without sweeping
+//! it: the fitness splits into a left-leg and a right-leg part, so an
+//! aligned subcube's histogram is the convolution of two side histograms
+//! of at most 2¹⁸ genomes each. The server's oracle answers from it, and
+//! E15 checks every shard of the sweep against it.
+//!
 //! The differential conformance suite in `tests/` pins the 64-lane and
 //! the wide sweep kernel lane-by-lane to the scalar `discipulus` fitness
 //! function, the RTL `FitnessUnit` and the batch `FitnessUnitX64`,
@@ -44,11 +50,13 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod closed_form;
 pub mod kernel;
 pub mod shard;
 pub mod sweep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
+pub use closed_form::closed_form_tally;
 pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW, SweepPlane, Tally};
 pub use shard::{Shard, ShardPlan};
 pub use sweep::{LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus};

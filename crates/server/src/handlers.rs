@@ -142,12 +142,6 @@ fn landscape(state: &AppState, request: &Request) -> Result<String, ApiError> {
             if !(6..=36).contains(&bits) {
                 return Err(ApiError::bad_request("`bits` must be in 6..=36"));
             }
-            if bits > state.config.max_landscape_bits {
-                return Err(ApiError::limit(format!(
-                    "bits {} exceeds this server's cap of {}",
-                    bits, state.config.max_landscape_bits
-                )));
-            }
             let answer = state.oracle.subspace(bits);
             Ok(Json::Obj(vec![
                 ("bits".to_string(), Json::Num(f64::from(answer.bits))),
@@ -326,20 +320,6 @@ fn metrics(state: &AppState) -> String {
                 (
                     "5xx".to_string(),
                     Json::Num(m.err_5xx.load(Ordering::Relaxed) as f64),
-                ),
-            ]),
-        ),
-        (
-            "landscape_cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), Json::Num(state.oracle.hits() as f64)),
-                (
-                    "misses".to_string(),
-                    Json::Num(state.oracle.misses() as f64),
-                ),
-                (
-                    "chunks".to_string(),
-                    Json::Num(state.oracle.cached_chunks() as f64),
                 ),
             ]),
         ),

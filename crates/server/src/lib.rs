@@ -3,8 +3,9 @@
 //! The repo's batch engines answer three kinds of question: *evolve*
 //! (seeded GA runs on the bit-sliced [`GapRtlXW`] engines, via the bench
 //! harness's lane-refill driver), *landscape* (exact oracle queries over
-//! the 2³⁶ fitness landscape, chunk-cached), and *campaign* (seeded
-//! fault-injection runs through the differential recovery oracle). This
+//! the 2³⁶ fitness landscape, answered in closed form), and *campaign*
+//! (seeded fault-injection runs through the differential recovery
+//! oracle). This
 //! crate puts those behind a documented HTTP/JSON surface —
 //! `POST /evolve`, `GET /landscape`, `GET /campaign`, plus `GET /healthz`
 //! and `GET /metrics` for operability — served by a hand-rolled
@@ -14,20 +15,19 @@
 //!
 //! The load-bearing property is **determinism**: every compute endpoint
 //! is a pure function of its request. Same request ⇒ byte-identical
-//! response body, for any server thread count, any engine width, and
-//! whether or not the landscape cache was warm — because the handlers
-//! reuse the exact deterministic drivers the CLI experiments run
-//! ([`leonardo_bench::harness::rtl_evolve_batch_w`], the sweep kernel,
-//! [`Campaign`]), and bodies render through the telemetry
-//! [`Json`](leonardo_telemetry::json::Json) tree with insertion-ordered
-//! keys. A served `/evolve` is bit-identical to a direct harness call —
+//! response body, for any server thread count and any engine width —
+//! because the handlers reuse the exact deterministic drivers the CLI
+//! experiments run ([`leonardo_bench::harness::rtl_evolve_batch_w`], the
+//! landscape crate's closed form, [`Campaign`]), and bodies render
+//! through the telemetry [`Json`](leonardo_telemetry::json::Json) tree
+//! with insertion-ordered keys. A served `/evolve` is bit-identical to a direct harness call —
 //! pinned by integration tests and golden files.
 //!
 //! Module map: [`http`] (the wire protocol), [`routes`] (the registry
 //! that dispatch, telemetry and the `analysis` doc lint all share),
-//! [`api`] (typed request/response bodies), [`oracle`] (the landscape
-//! chunk cache), [`handlers`] (one function per route), [`server`] (the
-//! reactor). Full API reference with curl examples: `docs/SERVER.md`.
+//! [`api`] (typed request/response bodies), [`oracle`] (the closed-form
+//! landscape oracle), [`handlers`] (one function per route), [`server`]
+//! (the reactor). Full API reference with curl examples: `docs/SERVER.md`.
 //!
 //! [`GapRtlXW`]: leonardo_rtl::bitslice::GapRtlXW
 //! [`Campaign`]: leonardo_faults::campaign::Campaign

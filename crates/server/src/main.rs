@@ -1,8 +1,7 @@
 //! The `leonardo-server` binary: bind, serve, run until killed.
 //!
 //! ```text
-//! leonardo-server [--addr 127.0.0.1:7878] [--threads 0]
-//!                 [--max-landscape-bits 28] [--telemetry PATH]
+//! leonardo-server [--addr 127.0.0.1:7878] [--threads 0] [--telemetry PATH]
 //! ```
 //!
 //! With `--telemetry PATH` every request is appended to a JSONL event
@@ -20,7 +19,6 @@ fn main() {
     let mut config = ServerConfig {
         addr: arg_or("--addr", "127.0.0.1:7878".to_string()),
         threads: arg_or("--threads", 0usize),
-        max_landscape_bits: arg_or("--max-landscape-bits", 28u32),
         ..ServerConfig::default()
     };
 

@@ -27,7 +27,7 @@ pub struct RouteSpec {
     pub query_params: &'static [&'static str],
     /// Whether the response body is deterministic — a pure function of
     /// the request. `false` only for observability endpoints that report
-    /// wall-clock or cache state.
+    /// wall-clock or request history.
     pub deterministic: bool,
 }
 
@@ -82,7 +82,7 @@ pub const fn route_specs() -> &'static [RouteSpec] {
             method: "GET",
             path: "/metrics",
             label: "GET /metrics",
-            summary: "request counters, latency aggregates and oracle cache state",
+            summary: "request counters and latency aggregates",
             has_request_body: false,
             query_params: &[],
             deterministic: false,

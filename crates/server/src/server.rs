@@ -32,17 +32,12 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Request body cap in bytes; larger declared bodies get a 413.
     pub max_body_bytes: usize,
-    /// Largest `bits` a `/landscape` query may ask for (each unit
-    /// doubles the worst-case cold sweep).
-    pub max_landscape_bits: u32,
     /// Most trials one `/evolve` request may run.
     pub max_evolve_trials: usize,
     /// Largest `/evolve` generation budget.
     pub max_evolve_generations: u64,
     /// Largest `/campaign` generation budget.
     pub max_campaign_generations: u64,
-    /// Landscape chunk summaries the LRU cache retains.
-    pub oracle_cache_chunks: usize,
     /// When set, `/metrics` additionally reports this aggregator's view
     /// of the telemetry stream (the binary wires one up; embedded test
     /// servers usually run without).
@@ -55,11 +50,9 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 0,
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            max_landscape_bits: 28,
             max_evolve_trials: 4096,
             max_evolve_generations: 1_000_000,
             max_campaign_generations: 200_000,
-            oracle_cache_chunks: 1024,
             aggregator: None,
         }
     }
@@ -112,7 +105,7 @@ impl Metrics {
 pub struct AppState {
     /// The configuration the server started with.
     pub config: ServerConfig,
-    /// The landscape chunk-cache oracle.
+    /// The closed-form landscape oracle.
     pub oracle: LandscapeOracle,
     /// Request counters.
     pub metrics: Metrics,
@@ -166,7 +159,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         t => t,
     };
     let state = Arc::new(AppState {
-        oracle: LandscapeOracle::new(FitnessSpec::paper(), config.oracle_cache_chunks),
+        oracle: LandscapeOracle::new(FitnessSpec::paper()),
         metrics: Metrics::new(),
         config,
     });

@@ -28,7 +28,6 @@ fn start_server() -> ServerHandle {
     leonardo_server::start(ServerConfig {
         threads: 2,
         max_body_bytes: 64 * 1024,
-        max_landscape_bits: 24,
         max_evolve_trials: 64,
         max_evolve_generations: 200_000,
         max_campaign_generations: 60_000,
@@ -89,7 +88,7 @@ fn error_code(body: &str) -> String {
 #[test]
 fn error_paths_get_documented_codes_and_the_server_survives() {
     let server = start_server();
-    let cases: [(&str, &str, &str, u16, &str); 7] = [
+    let cases: [(&str, &str, &str, u16, &str); 6] = [
         ("POST", "/evolve", "not json at all", 400, "bad_request"),
         (
             "POST",
@@ -108,7 +107,6 @@ fn error_paths_get_documented_codes_and_the_server_survives() {
         ("GET", "/nowhere", "", 404, "not_found"),
         ("GET", "/evolve", "", 405, "method_not_allowed"),
         ("GET", "/landscape?bist=12", "", 400, "bad_request"),
-        ("GET", "/landscape?bits=36", "", 400, "limit_exceeded"),
     ];
     for (method, target, body, want_status, want_code) in cases {
         let (status, body) = request(&server, method, target, body);
@@ -378,6 +376,58 @@ fn landscape_subspace_answers_match_the_scalar_oracle() {
         v.get("fitness").and_then(Json::as_u64),
         Some(u64::from(spec.evaluate(Genome::from_bits(0xfff))))
     );
+}
+
+/// The whole 2³⁶ landscape is one query: the histogram E15's sweep
+/// committed, and the lowest maximal genomes of the analytic max set.
+#[test]
+fn full_landscape_answers_with_the_e15_histogram() {
+    use discipulus::fitness::max_fitness_genomes;
+    let server = start_server();
+    let (status, body) = request(&server, "GET", "/landscape?bits=36", "");
+    assert_eq!(status, 200, "{body}");
+    let v = Json::parse(&body).expect("landscape body");
+    let e15 = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/e15_landscape.txt"
+    ))
+    .expect("results/e15_landscape.txt");
+    let want: Vec<u64> = e15
+        .lines()
+        .skip_while(|l| !l.starts_with("exact fitness histogram"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            l.split_whitespace()
+                .nth(1)
+                .and_then(|c| c.parse().ok())
+                .expect("count")
+        })
+        .collect();
+    assert_eq!(want.len(), 27);
+    let got: Vec<u64> = v
+        .get("histogram")
+        .and_then(Json::as_array)
+        .expect("histogram")
+        .iter()
+        .map(|c| c.as_u64().expect("count"))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(v.get("max_count").and_then(Json::as_u64), Some(86_436));
+    let mut lowest: Vec<u64> = max_fitness_genomes().map(|g| g.bits()).collect();
+    lowest.sort_unstable();
+    let lowest: Vec<String> = lowest[..32]
+        .iter()
+        .map(|&g| leonardo_server::api::genome_hex(g))
+        .collect();
+    let samples: Vec<String> = v
+        .get("max_samples")
+        .and_then(Json::as_array)
+        .expect("max_samples")
+        .iter()
+        .map(|s| s.as_str().expect("hex").to_string())
+        .collect();
+    assert_eq!(samples, lowest);
 }
 
 #[test]
