@@ -23,6 +23,13 @@
 //! equals the `u64` one. The sweep's width (`SweepPlane`) is chosen from
 //! that row.
 //!
+//! The hand-off row measures the batch driver's one threshold: a `u64`
+//! engine step with 1 and with 64 active lanes and an unrecorded scalar
+//! generation, the break-even running-lane count they imply, and the
+//! driver's `HANDOFF_LANES` beside it.
+//!
+//! Every timing is the median over `--reps` runs.
+//!
 //! Alongside the JSON it writes a versioned run manifest
 //! (`<out>.manifest.json`, schema v4 with `host_cores`/`plane_width`/
 //! `threads`) so perf trajectories across commits stay reproducible. No
@@ -34,25 +41,35 @@
 use discipulus::fitness::FitnessSpec;
 use leonardo_bench::harness::{
     arg_or, engine_label, rtl_convergence_batch_w, rtl_convergence_scalar, trial_seeds, RtlTrial,
+    HANDOFF_LANES,
 };
 use leonardo_landscape::kernel::BLOCK_GENOMES;
 use leonardo_landscape::{BlockKernelW, SweepConfig, SweepPlane, Tally};
-use leonardo_rtl::bitslice::{Plane, W128, W256, W512};
+use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig, Plane, W128, W256, W512};
+use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_telemetry::{host_cores, RunManifest};
 use std::time::Instant;
 
-/// Wall-time the fastest of `reps` runs of `f` (best-of-N absorbs cold
-/// caches and scheduler noise) and return it with the last result.
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
+/// Wall-time `reps` runs of `f` and return the median time with the last
+/// result. The median, not the best: a best-of-N reading follows the
+/// host's fastest moment and does not compare across runs.
+fn median_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut walls = Vec::with_capacity(reps.max(1));
     let mut last = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        walls.push(t0.elapsed().as_secs_f64());
         last = Some(r);
     }
-    (best, last.expect("reps >= 1"))
+    walls.sort_by(f64::total_cmp);
+    let mid = walls.len() / 2;
+    let median = if walls.len() % 2 == 1 {
+        walls[mid]
+    } else {
+        (walls[mid - 1] + walls[mid]) / 2.0
+    };
+    (median, last.expect("reps >= 1"))
 }
 
 /// One measured cell of the width × threads matrix.
@@ -97,7 +114,7 @@ struct SweepCtx<'a> {
 /// reproduces the scalar reference bit-for-bit.
 fn measure_width<P: Plane>(ctx: &SweepCtx<'_>, matrix: &mut Vec<Cell>) {
     for &threads in ctx.thread_sweep {
-        let (wall, got) = best_of(ctx.reps, || {
+        let (wall, got) = median_of(ctx.reps, || {
             rtl_convergence_batch_w::<P>(ctx.seeds, ctx.max_gens, threads)
         });
         assert_eq!(
@@ -123,6 +140,58 @@ fn measure_width<P: Plane>(ctx: &SweepCtx<'_>, matrix: &mut Vec<Cell>) {
     }
 }
 
+/// Steps timed per reading of the hand-off row.
+const HANDOFF_STEPS: u32 = 200;
+
+/// What the batch driver's hand-off rule trades, in µs: one `u64` engine
+/// step with 1 and with 64 of 64 lanes active, and one generation of an
+/// unrecorded scalar chip.
+struct Handoff {
+    step_us_1: f64,
+    step_us_64: f64,
+    scalar_us: f64,
+}
+
+impl Handoff {
+    fn measure(reps: usize) -> Handoff {
+        let seeds = trial_seeds(64);
+        let step_us = |mask: u64| {
+            let mut gap = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
+            let (wall, _) = median_of(reps, || {
+                for _ in 0..HANDOFF_STEPS {
+                    gap.step_generation_masked(mask);
+                }
+            });
+            wall * 1e6 / f64::from(HANDOFF_STEPS)
+        };
+        let step_us_1 = step_us(1);
+        let step_us_64 = step_us(u64::MAX);
+        let mut chip = GapRtl::new(GapRtlConfig::paper(seeds[0]).unrecorded());
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..HANDOFF_STEPS {
+                chip.step_generation();
+            }
+        });
+        Handoff {
+            step_us_1,
+            step_us_64,
+            scalar_us: wall * 1e6 / f64::from(HANDOFF_STEPS),
+        }
+    }
+
+    /// The largest running-lane count `n` at which `n` scalar chips cost
+    /// no more than one `u64` step, with the step modelled as `a + b·n`
+    /// through the two measured points.
+    fn break_even(&self) -> usize {
+        let b = (self.step_us_64 - self.step_us_1) / 63.0;
+        let a = self.step_us_1 - b;
+        if self.scalar_us <= b {
+            return 64;
+        }
+        (a / (self.scalar_us - b)).clamp(0.0, 64.0) as usize
+    }
+}
+
 /// Genomes scored per second by the pure plane kernel (the landscape
 /// block scorer) at one width, over the same genome count per width.
 /// `black_box` on the block index and the accumulated popcounts keeps
@@ -130,7 +199,7 @@ fn measure_width<P: Plane>(ctx: &SweepCtx<'_>, matrix: &mut Vec<Cell>) {
 fn measure_kernel<P: Plane>(reps: usize, genomes: u64) -> (f64, f64) {
     use std::hint::black_box;
     let blocks = genomes / P::LANES as u64;
-    let (wall, _) = best_of(reps, || {
+    let (wall, _) = median_of(reps, || {
         let mut kernel = BlockKernelW::<P>::new(FitnessSpec::paper());
         let mut acc = 0u64;
         for b in 0..blocks {
@@ -178,7 +247,7 @@ fn measure_fold<P: Plane>(reps: usize, genomes: u64, reference: &Tally) -> (usiz
         "{} fold diverged from the u64 tally",
         P::NAME
     );
-    let (wall, tally) = best_of(reps, || fold_window::<P>(std::hint::black_box(genomes)));
+    let (wall, tally) = median_of(reps, || fold_window::<P>(std::hint::black_box(genomes)));
     std::hint::black_box(tally);
     (P::LANES, wall, genomes as f64 / wall)
 }
@@ -203,7 +272,7 @@ fn main() {
 
     // `rtl_convergence_scalar` fans its trials out over every core
     let scalar_threads = leonardo_exec::resolve_threads(0).min(seeds.len());
-    let (scalar_wall, scalar) = best_of(reps, || rtl_convergence_scalar(&seeds, max_gens));
+    let (scalar_wall, scalar) = median_of(reps, || rtl_convergence_scalar(&seeds, max_gens));
     let cycles: u64 = scalar.iter().map(|t| t.cycles).sum();
     let scalar_rate = cycles as f64 / scalar_wall;
     let converged = scalar.iter().filter(|t| t.converged).count();
@@ -235,6 +304,14 @@ fn main() {
         .iter()
         .find(|c| c.plane_width == 64 && c.threads == 1)
         .expect("u64 single-thread cell always measured");
+
+    let handoff = Handoff::measure(reps);
+    let break_even = handoff.break_even();
+    eprintln!(
+        "hand-off: u64 step {:.1} us at 1 lane, {:.1} us at 64; scalar generation {:.2} us; \
+         break-even {break_even} lanes, driver hands off at {HANDOFF_LANES}",
+        handoff.step_us_1, handoff.step_us_64, handoff.scalar_us
+    );
 
     // pure plane-kernel sweep: same genome count per width so walls compare
     let kernel_genomes: u64 = 1 << 26;
@@ -316,6 +393,9 @@ fn main() {
          \"matrix\": [\n{matrix_json}\n  ],\n  \
          \"best\": {{ \"engine\": \"{}\", \"plane_width\": {}, \"threads\": {}, \
          \"cycles_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.3}, \"speedup_vs_u64_t1\": {:.3} }},\n  \
+         \"handoff\": {{ \"steps\": {HANDOFF_STEPS}, \"u64_step_us_1_active\": {:.3}, \
+         \"u64_step_us_64_active\": {:.3}, \"scalar_generation_us\": {:.3}, \
+         \"break_even_lanes\": {break_even}, \"driver_handoff_lanes\": {HANDOFF_LANES} }},\n  \
          \"plane_kernel\": {{\n  \"genomes\": {kernel_genomes},\n  \"widths\": [\n{kernel_json}\n  ],\n  \
          \"best_plane_width\": {},\n  \"best_speedup_vs_u64\": {:.3}\n  }},\n  \
          \"fold\": {{\n  \"genomes\": {fold_genomes},\n  \"first_genome\": {FOLD_FIRST_GENOME},\n  \
@@ -327,6 +407,9 @@ fn main() {
         best.cycles_per_sec,
         best.cycles_per_sec / scalar_rate,
         best.cycles_per_sec / u64_t1.cycles_per_sec,
+        handoff.step_us_1,
+        handoff.step_us_64,
+        handoff.scalar_us,
         kernel_best.0,
         kernel_best.2 / kernel_u64,
         SweepConfig::full().chunk_blocks,
@@ -349,6 +432,7 @@ fn main() {
             "speedup_vs_u64_t1",
             best.cycles_per_sec / u64_t1.cycles_per_sec,
         )
+        .with_param("handoff_break_even_lanes", break_even as f64)
         .with_param("kernel_best_speedup_vs_u64", kernel_best.2 / kernel_u64)
         .with_param("fold_best_plane_width", fold_best.0 as f64);
     manifest.seeds = seeds.iter().map(|&s| u64::from(s)).collect();

@@ -3,8 +3,8 @@
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::params::GapParams;
 use discipulus::stats::SampleSummary;
-use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig, Plane};
-use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
+use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig, Plane, W128, W256};
+use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig, LaneState};
 use leonardo_telemetry as tele;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -116,10 +116,10 @@ pub fn rtl_stats(trials: &[RtlTrial]) -> ConvergenceStats {
 
 /// Multi-seed RTL convergence sampling, one scalar [`GapRtl`] per trial,
 /// trials spread over all cores. The reference path the batch engine is
-/// measured against.
+/// measured against. The chips keep no draw log.
 pub fn rtl_convergence_scalar(seeds: &[u32], max_generations: u64) -> Vec<RtlTrial> {
     parallel_map(seeds, |&seed| {
-        let mut gap = GapRtl::new(GapRtlConfig::paper(seed));
+        let mut gap = GapRtl::new(GapRtlConfig::paper(seed).unrecorded());
         let converged = gap.run_to_convergence(max_generations);
         let trial = RtlTrial {
             converged,
@@ -143,14 +143,10 @@ pub fn engine_label<P: Plane>() -> &'static str {
     }
 }
 
-/// Multi-seed RTL convergence sampling on the bit-sliced batch engine:
-/// each worker thread owns a [`GapRtlXW`] and pulls seeds from a shared
-/// queue into lanes as they free up, so all `P::LANES` lanes of every
-/// engine stay busy until the queue drains. No more engines run than
-/// the seed list can fill. Per-seed results are bit-identical to [`rtl_convergence_scalar`] — and to any other width
-/// or thread count — and come back in seed order; which *engine* runs a
-/// given seed varies with scheduling, but every lane is bit-exact with a
-/// fresh scalar chip on that seed, so the per-seed outcome cannot.
+/// Multi-seed RTL convergence sampling on the bit-sliced batch engine.
+/// Per-seed results are bit-identical to [`rtl_convergence_scalar`] — and
+/// to any other width or thread count — and come back in seed order. See
+/// [`rtl_evolve_batch_w`] for how the driver places trials.
 pub fn rtl_convergence_batch_w<P: Plane>(
     seeds: &[u32],
     max_generations: u64,
@@ -162,26 +158,53 @@ pub fn rtl_convergence_batch_w<P: Plane>(
         .collect()
 }
 
+/// The running-lane count at or below which one scalar [`GapRtl`] per
+/// lane costs less than a step of the 64-lane engine, so the batch driver
+/// finishes those lanes on scalar chips and a request this small starts
+/// on them. Measured, not tuned: `perf_report`'s `handoff` row times a
+/// `u64` step at 1 and 64 active lanes and an unrecorded scalar
+/// generation, and prints the break-even count beside this value.
+pub const HANDOFF_LANES: usize = 18;
+
 /// [`rtl_convergence_batch_w`] keeping the evolved best genome and its
-/// fitness per trial. Same driver, same determinism contract: per-seed
-/// results are bit-identical for any plane width and thread count.
+/// fitness per trial.
+///
+/// Each worker thread owns a [`GapRtlXW`] and pulls seeds from a shared
+/// queue into lanes as they free up. Once the queue is drained, an
+/// engine's running lanes move to the narrowest engine that holds them as
+/// soon as they fit in half its width (W512 → W256 → W128 → u64), and at
+/// or below [`HANDOFF_LANES`] they finish on scalar chips. A request of
+/// at most [`HANDOFF_LANES`] seeds runs on scalar chips from the start.
+/// Every move is exact ([`GapRtlXW::lane_state`], [`GapRtlXW::from_lanes`],
+/// [`GapRtl::from_lane_state`]), so where a trial ran cannot be observed:
+/// each `bench.trial` event carries the requested width's label. Every
+/// engine and chip runs the paper's configuration, which keeps no draw
+/// log (a million-generation trial would otherwise log ~600 MB).
 pub fn rtl_evolve_batch_w<P: Plane>(
     seeds: &[u32],
     max_generations: u64,
     threads: usize,
 ) -> Vec<EvolvedTrial> {
+    let queue = Queue {
+        seeds,
+        next: AtomicUsize::new(0),
+        max_generations,
+        label: engine_label::<P>(),
+    };
+    if seeds.len() <= HANDOFF_LANES {
+        return leonardo_exec::ordered_map_range(threads, seeds.len(), |i| {
+            queue.run_chip(i, GapRtl::new(GapRtlXWConfig::paper().chip(seeds[i])))
+        });
+    }
     // one item per engine the seed list can fill; every engine drains the
     // shared seed queue, so an item that starts after it emptied is a
     // no-op and min(threads, engines) engines do all the work
-    let next = AtomicUsize::new(0);
     let engines = seeds.len().div_ceil(P::LANES);
     let mut collected: Vec<(usize, EvolvedTrial)> =
-        leonardo_exec::ordered_map_range(threads, engines, |_| {
-            batch_worker::<P>(seeds, max_generations, &next)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        leonardo_exec::ordered_map_range(threads, engines, |_| batch_worker::<P>(&queue))
+            .into_iter()
+            .flatten()
+            .collect();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
 }
@@ -192,57 +215,104 @@ pub fn rtl_convergence_batch(seeds: &[u32], max_generations: u64) -> Vec<RtlTria
     rtl_convergence_batch_w::<u64>(seeds, max_generations, 0)
 }
 
-/// One refilling batch engine: claim up to `P::LANES` seeds, run the
-/// converged-or-out-of-budget lanes dry, and reseed each freed lane from
-/// the queue. Returns the trials it ran, tagged with their seed index.
-fn batch_worker<P: Plane>(
-    seeds: &[u32],
+/// What the engines of one driver call share: the seed queue, the budget
+/// and the label of their `bench.trial` events.
+struct Queue<'a> {
+    seeds: &'a [u32],
+    next: AtomicUsize,
     max_generations: u64,
-    next: &AtomicUsize,
-) -> Vec<(usize, EvolvedTrial)> {
-    let claim = |cap: usize| -> Vec<usize> {
+    label: &'static str,
+}
+
+/// Trials finished by one worker, tagged with their seed index.
+type Finished = Vec<(usize, EvolvedTrial)>;
+
+impl Queue<'_> {
+    /// Claim up to `cap` seed indices.
+    fn claim(&self, cap: usize) -> Vec<usize> {
         (0..cap)
             .map_while(|_| {
-                let i = next.fetch_add(1, Relaxed);
-                (i < seeds.len()).then_some(i)
+                let i = self.next.fetch_add(1, Relaxed);
+                (i < self.seeds.len()).then_some(i)
             })
             .collect()
-    };
+    }
 
+    /// Whether every seed has been claimed.
+    fn drained(&self) -> bool {
+        self.next.load(Relaxed) >= self.seeds.len()
+    }
+
+    /// Run seed `i` on one scalar chip to convergence or the budget.
+    fn run_chip(&self, i: usize, mut chip: GapRtl) -> EvolvedTrial {
+        while !chip.converged() && chip.generation() < self.max_generations {
+            chip.step_generation();
+        }
+        let (best_genome, best_fitness) = chip.best();
+        let trial = RtlTrial {
+            converged: chip.converged(),
+            generations: chip.generation(),
+            cycles: chip.clock().cycles(),
+        };
+        emit_trial(self.label, self.seeds[i], trial);
+        EvolvedTrial {
+            trial,
+            best_genome,
+            best_fitness,
+        }
+    }
+}
+
+/// One worker: claim up to `P::LANES` seeds into a fresh engine and run
+/// it (and whatever its survivors move to) dry.
+fn batch_worker<P: Plane>(queue: &Queue<'_>) -> Finished {
+    let mut done = Vec::new();
+    let first = queue.claim(P::LANES);
+    if !first.is_empty() {
+        let lane_seeds: Vec<u32> = first.iter().map(|&i| queue.seeds[i]).collect();
+        let gap = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &lane_seeds);
+        run_engine(gap, &first, queue, &mut done);
+    }
+    done
+}
+
+/// Run one engine whose lane `l` carries seed index `trials[l]`: harvest
+/// converged-or-out-of-budget lanes, reseed freed lanes from the queue
+/// while it lasts, then hand the running lanes down (see
+/// [`rtl_evolve_batch_w`]).
+fn run_engine<P: Plane>(
+    mut gap: GapRtlXW<P>,
+    trials: &[usize],
+    queue: &Queue<'_>,
+    done: &mut Finished,
+) {
     // a reset costs one whole-width initiator + fitness pass however many
     // lanes it reseeds, so freed lanes pool up and refill as a group
     const REFILL_GROUP: usize = 8;
 
-    let mut results = Vec::new();
-    let first = claim(P::LANES);
-    if first.is_empty() {
-        return results;
-    }
-    let lane_seeds: Vec<u32> = first.iter().map(|&i| seeds[i]).collect();
-    let mut gap = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &lane_seeds);
     // which queued trial each enabled lane is currently running
     let mut trial: Vec<Option<usize>> = vec![None; P::LANES];
-    for (l, &i) in first.iter().enumerate() {
+    for (l, &i) in trials.iter().enumerate() {
         trial[l] = Some(i);
     }
     let mut free: Vec<usize> = Vec::new();
 
     loop {
-        let running = gap.running_mask(max_generations);
+        let running = gap.running_mask(queue.max_generations);
         // harvest finished lanes into the free pool
         (gap.enabled() & !running).for_each_set_lane(|l| {
             let Some(i) = trial[l].take() else { return };
-            let done = RtlTrial {
+            let done_trial = RtlTrial {
                 converged: gap.converged(l),
                 generations: gap.generation(l),
                 cycles: gap.cycles(l),
             };
             let (best_genome, best_fitness) = gap.best(l);
-            emit_trial(engine_label::<P>(), seeds[i], done);
-            results.push((
+            emit_trial(queue.label, queue.seeds[i], done_trial);
+            done.push((
                 i,
                 EvolvedTrial {
-                    trial: done,
+                    trial: done_trial,
                     best_genome,
                     best_fitness,
                 },
@@ -257,14 +327,14 @@ fn batch_worker<P: Plane>(
         });
         active &= running;
         if free.len() >= REFILL_GROUP || active.is_zero() {
-            let claimed = claim(free.len());
+            let claimed = queue.claim(free.len());
             if !claimed.is_empty() {
                 let resets: Vec<(usize, u32)> = claimed
                     .iter()
                     .map(|&i| {
                         let l = free.pop().expect("one free lane per claimed seed");
                         trial[l] = Some(i);
-                        (l, seeds[i])
+                        (l, queue.seeds[i])
                     })
                     .collect();
                 gap.reset_lanes(&resets);
@@ -273,9 +343,57 @@ fn batch_worker<P: Plane>(
             }
         }
         if active.is_zero() {
-            return results;
+            return;
+        }
+        let n = active.count_ones() as usize;
+        if queue.drained() && (n <= HANDOFF_LANES || (P::LANES > 64 && n <= P::LANES / 2)) {
+            let mut lanes = Vec::with_capacity(n);
+            active.for_each_set_lane(|l| {
+                lanes.push((
+                    trial[l].expect("active lanes run a trial"),
+                    gap.lane_state(l),
+                ));
+            });
+            return hand_off(lanes, queue, done);
         }
         gap.step_generation_masked(active);
+    }
+}
+
+/// Move running trials, as `(seed index, state)`, onto scalar chips when
+/// there are at most [`HANDOFF_LANES`] of them, else into the narrowest
+/// engine that holds them.
+fn hand_off(lanes: Vec<(usize, LaneState)>, queue: &Queue<'_>, done: &mut Finished) {
+    let config = GapRtlXWConfig::paper();
+    if lanes.len() <= HANDOFF_LANES {
+        for (i, state) in &lanes {
+            let chip = GapRtl::from_lane_state(config.chip(queue.seeds[*i]), state);
+            done.push((*i, queue.run_chip(*i, chip)));
+        }
+        return;
+    }
+    let (trials, states): (Vec<usize>, Vec<LaneState>) = lanes.into_iter().unzip();
+    if states.len() <= 64 {
+        run_engine(
+            GapRtlXW::<u64>::from_lanes(config, &states),
+            &trials,
+            queue,
+            done,
+        );
+    } else if states.len() <= 128 {
+        run_engine(
+            GapRtlXW::<W128>::from_lanes(config, &states),
+            &trials,
+            queue,
+            done,
+        );
+    } else {
+        run_engine(
+            GapRtlXW::<W256>::from_lanes(config, &states),
+            &trials,
+            queue,
+            done,
+        );
     }
 }
 
@@ -389,6 +507,26 @@ mod tests {
         // 70 trials in one W128 engine crosses the limb boundary
         assert_eq!(base, rtl_convergence_batch_w::<W128>(&seeds, 40, 1));
         assert_eq!(base, rtl_convergence_batch_w::<W256>(&seeds, 40, 8));
+    }
+
+    #[test]
+    fn hand_off_is_unobservable_at_every_size_width_and_thread_count() {
+        use leonardo_rtl::bitslice::W512;
+        // a 40-generation budget splits the trials into converged and
+        // capped; 600 seeds on W512 walk the whole W512 → W256 → W128 →
+        // u64 → scalar chain
+        let seeds = trial_seeds(600);
+        let reference = rtl_convergence_scalar(&seeds, 40);
+        assert!(reference.iter().any(|t| t.converged) && reference.iter().any(|t| !t.converged));
+        for n in [1, HANDOFF_LANES, HANDOFF_LANES + 1, 64, 65, 600] {
+            for threads in [1, 2, 8] {
+                let narrow = rtl_evolve_batch_w::<u64>(&seeds[..n], 40, threads);
+                let wide = rtl_evolve_batch_w::<W512>(&seeds[..n], 40, threads);
+                assert_eq!(narrow, wide, "{n} seeds, {threads} threads");
+                let trials: Vec<RtlTrial> = wide.iter().map(|t| t.trial).collect();
+                assert_eq!(trials, reference[..n], "{n} seeds, {threads} threads");
+            }
+        }
     }
 
     #[test]

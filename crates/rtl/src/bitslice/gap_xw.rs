@@ -46,7 +46,7 @@ use crate::bitslice::ram_xw::RamXW;
 use crate::bitslice::rng_xw::CaRngXW;
 use crate::bitslice::transpose::{planes_to_bytes_wide, planes_to_u16_wide};
 use crate::bitslice::LANES;
-use crate::gap_rtl::CycleBreakdown;
+use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState};
 use crate::resources::{ResourceReport, Resources};
 use discipulus::gap::Population;
 use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
@@ -64,10 +64,10 @@ pub struct GapRtlXWConfig {
     pub params: GapParams,
     /// Whether selection and crossover overlap in the pipeline.
     pub pipelined: bool,
-    /// Record every consumed RNG word per lane. The scalar `GapRtl`
-    /// always records; here it is opt-in (equivalence tests) because at
-    /// full lane count the logs dominate memory and defeat the purpose of
-    /// a throughput engine.
+    /// Record every consumed RNG word per lane. Off by default, unlike
+    /// the scalar `GapRtlConfig::paper`: here it is opt-in (equivalence
+    /// tests) because at full lane count the logs dominate memory and
+    /// defeat the purpose of a throughput engine.
     pub record_draws: bool,
 }
 
@@ -96,6 +96,17 @@ impl GapRtlXWConfig {
     pub fn recording(mut self) -> GapRtlXWConfig {
         self.record_draws = true;
         self
+    }
+
+    /// The scalar chip configuration of one lane seeded `seed`: same
+    /// parameters, pipelining and draw recording.
+    pub fn chip(&self, seed: u32) -> GapRtlConfig {
+        GapRtlConfig {
+            params: self.params,
+            pipelined: self.pipelined,
+            seed,
+            record_draws: self.record_draws,
+        }
     }
 }
 
@@ -290,9 +301,81 @@ impl<P: Plane> GapRtlXW<P> {
     /// Panics if the parameters fail validation or `seeds` is empty or
     /// longer than `P::LANES`.
     pub fn new(config: GapRtlXWConfig, seeds: &[u32]) -> GapRtlXW<P> {
+        let mut gap = GapRtlXW::blank(config, seeds.len());
+        for (l, &seed) in seeds.iter().enumerate() {
+            gap.rng.seed_lane(l, seed);
+        }
+        let mut acct = Acct::new(gap.enabled);
+        gap.run_initiator(&mut acct);
+        gap.run_fitness_phase(&mut acct, gap.enabled);
+        gap.flush(&acct);
+        gap
+    }
+
+    /// An engine whose lane `l` holds `states[l]`, each taken from a
+    /// scalar chip or a batch lane (any width) with the same parameters
+    /// and pipelining: from here on every lane is bit-exact with the chip
+    /// its state came from. The scores are recomputed from the
+    /// populations; nothing runs.
+    ///
+    /// # Panics
+    /// Panics if the parameters fail validation, `states` is empty or
+    /// longer than `P::LANES`, or a state's population size differs from
+    /// the parameters'.
+    pub fn from_lanes(config: GapRtlXWConfig, states: &[LaneState]) -> GapRtlXW<P> {
+        let mut gap = GapRtlXW::blank(config, states.len());
+        let n = config.params.population_size;
+        for (l, s) in states.iter().enumerate() {
+            assert_eq!(s.population.len(), n, "lane state population size");
+            gap.rng.set_lane_word(l, s.rng);
+            for (i, &g) in s.population.iter().enumerate() {
+                gap.basis.write_lane(i, l, g);
+            }
+            gap.best_genome[l] = s.best_genome;
+            gap.best_fitness[l] = s.best_fitness;
+            set_plane_value(&mut gap.best_planes, l, s.best_fitness);
+            gap.generation[l] = s.generation;
+            gap.cycles[l] = s.cycles;
+            gap.breakdown[l] = s.breakdown;
+        }
+        let fu = gap.fitness_unit;
+        for i in 0..n {
+            gap.scores[i] = fu.evaluate_lanes_planes(gap.basis.column(i));
+        }
+        gap
+    }
+
+    /// One lane's state at the current generation boundary (every public
+    /// method returns at one), for [`GapRtlXW::from_lanes`] at any width
+    /// or [`GapRtl::from_lane_state`](crate::gap_rtl::GapRtl::from_lane_state).
+    ///
+    /// # Panics
+    /// Panics if `lane ≥ P::LANES`.
+    pub fn lane_state(&self, lane: usize) -> LaneState {
+        assert!(lane < P::LANES, "lane out of range");
+        assert_eq!(
+            self.rng_owed, 0,
+            "dead cycles owed at a generation boundary"
+        );
+        LaneState {
+            rng: self.rng.lane_word(lane),
+            population: (0..self.config.params.population_size)
+                .map(|i| self.basis.peek(i, lane))
+                .collect(),
+            best_genome: self.best_genome[lane],
+            best_fitness: self.best_fitness[lane],
+            generation: self.generation[lane],
+            cycles: self.cycles[lane],
+            breakdown: self.breakdown[lane],
+        }
+    }
+
+    /// The engine with `lanes` enabled lanes, every generator at state 1
+    /// and everything else zero, before any initiator runs.
+    fn blank(config: GapRtlXWConfig, lanes: usize) -> GapRtlXW<P> {
         config.params.validate().expect("invalid GAP parameters");
         assert!(
-            !seeds.is_empty() && seeds.len() <= P::LANES,
+            (1..=P::LANES).contains(&lanes),
             "between 1 and {} seeds",
             P::LANES
         );
@@ -305,11 +388,10 @@ impl<P: Plane> GapRtlXW<P> {
             "batch engine reads selection indices as bytes"
         );
         let n = config.params.population_size;
-        let enabled = P::low_mask(seeds.len());
-        let mut gap = GapRtlXW {
+        GapRtlXW {
             config,
-            enabled,
-            rng: CaRngXW::new(seeds),
+            enabled: P::low_mask(lanes),
+            rng: CaRngXW::new(&[]),
             fitness_unit: FitnessUnitXW::new(config.params.fitness),
             basis: RamXW::new(n, 36),
             intermediate: RamXW::new(n, 36),
@@ -325,12 +407,7 @@ impl<P: Plane> GapRtlXW<P> {
             max_fitness: config.params.fitness.max_fitness(),
             byte_buf: vec![0u8; P::LANES],
             u16_buf: vec![0u16; P::LANES],
-        };
-        let mut acct = Acct::new(enabled);
-        gap.run_initiator(&mut acct);
-        gap.run_fitness_phase(&mut acct, enabled);
-        gap.flush(&acct);
-        gap
+        }
     }
 
     /// Recycle one lane for a fresh trial: reseed its RNG, rerun the

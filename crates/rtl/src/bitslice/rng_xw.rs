@@ -88,9 +88,14 @@ impl<P: Plane> CaRngXW<P> {
     /// Re-seed one lane in place (used when a convergence driver recycles
     /// a finished lane for a fresh trial); all other lanes hold.
     pub fn seed_lane(&mut self, lane: usize, seed: u32) {
-        let s = if seed == 0 { 1 } else { seed };
+        self.set_lane_word(lane, if seed == 0 { 1 } else { seed });
+    }
+
+    /// Load one lane's raw state word (a migrated chip's generator, no
+    /// zero remap); all other lanes hold.
+    pub fn set_lane_word(&mut self, lane: usize, word: u32) {
         for (i, c) in self.cells.iter_mut().enumerate() {
-            c.set_bit(lane, s >> i & 1 == 1);
+            c.set_bit(lane, word >> i & 1 == 1);
         }
     }
 

@@ -54,15 +54,22 @@ pub struct GapRtlConfig {
     pub pipelined: bool,
     /// Seed of the cellular-automaton generator.
     pub seed: u32,
+    /// Record every consumed RNG word ([`GapRtl::drawn_log`], the replay
+    /// interface of the equivalence tests). On in [`GapRtlConfig::paper`]
+    /// and [`GapRtlConfig::unpipelined`]; a recorded chip keeps about 150
+    /// words per generation, so long throughput runs switch it off.
+    pub record_draws: bool,
 }
 
 impl GapRtlConfig {
-    /// The paper's configuration (pipelined, parameters of §3.3).
+    /// The paper's configuration (pipelined, parameters of §3.3), draw
+    /// recording on.
     pub fn paper(seed: u32) -> GapRtlConfig {
         GapRtlConfig {
             params: GapParams::paper(),
             pipelined: true,
             seed,
+            record_draws: true,
         }
     }
 
@@ -72,6 +79,12 @@ impl GapRtlConfig {
             pipelined: false,
             ..GapRtlConfig::paper(seed)
         }
+    }
+
+    /// Same configuration with draw recording off.
+    pub fn unrecorded(mut self) -> GapRtlConfig {
+        self.record_draws = false;
+        self
     }
 }
 
@@ -97,6 +110,34 @@ impl CycleBreakdown {
     }
 }
 
+/// One chip's architectural state at a generation boundary: what moves
+/// when a trial migrates between the scalar [`GapRtl`] and a lane of the
+/// batch engine ([`crate::bitslice::GapRtlXW`], any width), in either
+/// direction.
+///
+/// Nothing else carries over. The score registers are recomputed from
+/// the population on import, the intermediate buffer is rewritten by
+/// every generation, and the generator owes no dead cycles at a
+/// boundary. The draw log is not part of the state: an imported chip
+/// logs only what it draws after the move.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneState {
+    /// The CA generator's state word.
+    pub rng: u32,
+    /// The basis population, one 36-bit word per individual.
+    pub population: Vec<u64>,
+    /// The best-genome register.
+    pub best_genome: u64,
+    /// The best-fitness register.
+    pub best_fitness: u32,
+    /// Generations executed.
+    pub generation: u64,
+    /// System cycles elapsed.
+    pub cycles: u64,
+    /// Per-phase cycle accounting.
+    pub breakdown: CycleBreakdown,
+}
+
 /// Fixed cost of the bit-serial crossover datapath per pair: 36 shift
 /// cycles plus two commit writes.
 const XOVER_CYCLES: u64 = GENOME_BITS as u64 + 2;
@@ -115,7 +156,11 @@ pub struct GapRtl {
     best_genome: Genome,
     best_fitness: u32,
     generation: u64,
-    drawn_log: Vec<u32>,
+    /// Consumed words, kept only with `record_draws`.
+    drawn_log: Option<Vec<u32>>,
+    /// Decision-point draws since construction (or import), recorded or
+    /// not — the `draws` field of the telemetry events.
+    draws: u64,
     breakdown: CycleBreakdown,
     initialized_best: bool,
 }
@@ -136,12 +181,20 @@ impl GapRtl {
     /// # Panics
     /// Panics if the parameters fail validation.
     pub fn new(config: GapRtlConfig) -> GapRtl {
+        let mut gap = GapRtl::blank(config, CaRngRtl::new(config.seed));
+        gap.run_initiator();
+        gap.run_fitness_phase();
+        gap
+    }
+
+    /// The chip at power-on, before the initiator runs.
+    fn blank(config: GapRtlConfig, rng: CaRngRtl) -> GapRtl {
         config.params.validate().expect("invalid GAP parameters");
         let n = config.params.population_size;
-        let mut gap = GapRtl {
+        GapRtl {
             config,
             clock: Clock::new(config.params.clock_hz),
-            rng: CaRngRtl::new(config.seed),
+            rng,
             fitness_unit: FitnessUnit::new(config.params.fitness),
             basis: Ram::new(n, 36, true),
             intermediate: Ram::new(n, 36, true),
@@ -149,13 +202,56 @@ impl GapRtl {
             best_genome: Genome::ZERO,
             best_fitness: 0,
             generation: 0,
-            drawn_log: Vec::new(),
+            drawn_log: config.record_draws.then(Vec::new),
+            draws: 0,
             breakdown: CycleBreakdown::default(),
             initialized_best: false,
-        };
-        gap.run_initiator();
-        gap.run_fitness_phase();
+        }
+    }
+
+    /// A chip holding `state`, taken from a scalar chip or a batch lane
+    /// with the same parameters and pipelining: from here on it is
+    /// bit-exact with the chip the state came from. `config.seed` is not
+    /// used; the state's generator word replaces the seeded one.
+    ///
+    /// # Panics
+    /// Panics if the parameters fail validation or the state's population
+    /// size differs from theirs.
+    pub fn from_lane_state(config: GapRtlConfig, state: &LaneState) -> GapRtl {
+        let mut gap = GapRtl::blank(config, CaRngRtl::from_state(state.rng));
+        assert_eq!(
+            state.population.len(),
+            config.params.population_size,
+            "lane state population size"
+        );
+        gap.basis.load(&state.population);
+        for (score, &g) in gap.scores.iter_mut().zip(&state.population) {
+            *score = gap.fitness_unit.evaluate(Genome::from_bits(g));
+        }
+        gap.best_genome = Genome::from_bits(state.best_genome);
+        gap.best_fitness = state.best_fitness;
+        gap.initialized_best = true;
+        gap.generation = state.generation;
+        gap.clock.advance(state.cycles);
+        gap.breakdown = state.breakdown;
         gap
+    }
+
+    /// The chip's state at the current generation boundary (every public
+    /// method returns at one), for [`GapRtl::from_lane_state`] or
+    /// [`crate::bitslice::GapRtlXW::from_lanes`].
+    pub fn lane_state(&self) -> LaneState {
+        LaneState {
+            rng: self.rng.word(),
+            population: (0..self.config.params.population_size)
+                .map(|i| self.basis.peek(i))
+                .collect(),
+            best_genome: self.best_genome.bits(),
+            best_fitness: self.best_fitness,
+            generation: self.generation,
+            cycles: self.clock.cycles(),
+            breakdown: self.breakdown,
+        }
     }
 
     /// Advance one system cycle: the free-running RNG steps, the clock
@@ -177,7 +273,10 @@ impl GapRtl {
     /// A cycle whose RNG word is consumed by a decision point: logged.
     fn draw(&mut self, phase: Phase) -> u32 {
         let w = self.cycle(phase);
-        self.drawn_log.push(w);
+        self.draws += 1;
+        if let Some(log) = self.drawn_log.as_mut() {
+            log.push(w);
+        }
         w
     }
 
@@ -354,7 +453,7 @@ impl GapRtl {
     /// Execute one full generation (reproduce → mutate → swap → fitness).
     pub fn step_generation(&mut self) {
         let cycles_before = self.clock.cycles();
-        let draws_before = self.drawn_log.len();
+        let draws_before = self.draws;
         self.run_reproduce_phase();
         self.run_mutate_phase();
         // bank-select toggle
@@ -369,7 +468,7 @@ impl GapRtl {
                 &[
                     ("generation", self.generation.into()),
                     ("cycles", (self.clock.cycles() - cycles_before).into()),
-                    ("draws", (self.drawn_log.len() - draws_before).into()),
+                    ("draws", (self.draws - draws_before).into()),
                     ("best_ever", self.best_fitness.into()),
                 ],
             );
@@ -391,7 +490,7 @@ impl GapRtl {
                     ("converged", self.converged().into()),
                     ("generations", self.generation.into()),
                     ("cycles", self.clock.cycles().into()),
-                    ("draws", self.drawn_log.len().into()),
+                    ("draws", self.draws.into()),
                     ("cycles_init", b.init.into()),
                     ("cycles_fitness", b.fitness.into()),
                     ("cycles_reproduce", b.reproduce.into()),
@@ -430,8 +529,13 @@ impl GapRtl {
 
     /// Every RNG word consumed at a decision point, in logical order
     /// (the replay interface of the equivalence tests).
+    ///
+    /// # Panics
+    /// Panics unless the chip was built with `record_draws`.
     pub fn drawn_log(&self) -> &[u32] {
-        &self.drawn_log
+        self.drawn_log
+            .as_deref()
+            .expect("drawn-log recording disabled; build with record_draws")
     }
 
     /// The current basis population as a behavioural [`Population`].
@@ -716,6 +820,13 @@ mod tests {
         assert_eq!(a.population(), b.population());
         assert_eq!(a.clock().cycles(), b.clock().cycles());
         assert_eq!(a.drawn_log(), b.drawn_log());
+    }
+
+    #[test]
+    #[should_panic(expected = "recording disabled")]
+    fn drawn_log_requires_recording() {
+        let gap = GapRtl::new(GapRtlConfig::paper(1).unrecorded());
+        let _ = gap.drawn_log();
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::bitstream::Bitstream;
     pub use crate::control::{CtrlState, GapControlFsm};
     pub use crate::fitness_rtl::FitnessUnit;
-    pub use crate::gap_rtl::{CycleBreakdown, GapRtl, GapRtlConfig};
+    pub use crate::gap_rtl::{CycleBreakdown, GapRtl, GapRtlConfig, LaneState};
     pub use crate::netlist::{Describe, DesignNetlist, StaticNetlist};
     pub use crate::pwm::{PwmChannel, ServoBank};
     pub use crate::resources::{ResourceReport, Resources, XC4036EX_CLBS};

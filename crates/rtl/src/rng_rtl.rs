@@ -31,6 +31,16 @@ impl CaRngRtl {
         }
     }
 
+    /// Resume from a raw state word, as a migrated chip does. Unlike
+    /// [`CaRngRtl::new`] there is no zero remap: a register forced to zero
+    /// stays on the fixed point it was left on.
+    pub fn from_state(state: u32) -> CaRngRtl {
+        CaRngRtl {
+            state,
+            rule: MAXIMAL_RULE_90_150,
+        }
+    }
+
     /// The current output word (the CA state register, valid this cycle).
     pub fn word(&self) -> u32 {
         self.state
