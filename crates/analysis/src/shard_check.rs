@@ -5,8 +5,8 @@
 //! invariant: the shard plan is an ordered, contiguous, exact partition
 //! of the `2^(subspace_bits - 6)` block space. This linter checks that
 //! invariant on a plan **without** running the sweep, so a refactor of
-//! the partition arithmetic (or a hand-built resume plan) cannot
-//! silently drop or double-count genomes. The gate runs it on every
+//! the partition arithmetic cannot silently drop or double-count
+//! genomes. The gate runs it on every
 //! shard count the sweep drivers use; `fixtures::broken_shard_plan` is
 //! the seeded defect that must keep it honest.
 

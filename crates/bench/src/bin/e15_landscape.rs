@@ -21,12 +21,11 @@
 //! * seeded e1-style GA winners must be members of the exhaustive max
 //!   set — evolution may only find needles the enumeration also found.
 //!
-//! The run is sharded, multi-threaded and checkpointable:
-//! `--checkpoint FILE` maintains a resumable snapshot, `--resume`
-//! continues a previous run from it bit-identically.
+//! The run is sharded and multi-threaded; its output is the same for
+//! every shard and thread count.
 //!
 //! Usage: `e15_landscape [--subspace-bits N] [--shards N] [--threads N]
-//! [--sample-cap N] [--ga-trials N] [--checkpoint FILE] [--resume]`
+//! [--sample-cap N] [--ga-trials N] [--ga-max-gens N]`
 
 use discipulus::fitness::max_fitness_genomes;
 use discipulus::gap::GeneticAlgorithmProcessor;
@@ -43,11 +42,6 @@ use std::time::Instant;
 
 /// Paper fact F7: full enumeration takes ~19 h on the 1 MHz chip.
 const PAPER_ENUMERATION_HOURS: f64 = 19.0;
-
-/// Presence of a bare flag (no value) on the command line.
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 /// Render the exact landscape histogram with proportional bars.
 fn render_histogram(result: &LandscapeResult) {
@@ -99,11 +93,6 @@ fn main() {
     config.num_shards = arg_or("--shards", config.num_shards);
     config.threads = arg_or("--threads", 0usize);
     config.sample_cap = arg_or("--sample-cap", config.sample_cap);
-    config.checkpoint = std::env::args()
-        .skip_while(|a| a != "--checkpoint")
-        .nth(1)
-        .map(Into::into);
-    let resume = flag("--resume");
     let ga_trials: usize = arg_or("--ga-trials", 8);
     let ga_max_gens: u64 = arg_or("--ga-max-gens", 50_000);
 
@@ -114,20 +103,7 @@ fn main() {
     session.set_param("ga_trials", ga_trials as f64);
     session.set_seeds(&trial_seeds(ga_trials));
 
-    let mut sweep = if resume {
-        match Sweep::resume(config.clone()) {
-            Ok(s) => {
-                println!(
-                    "resuming from {}",
-                    config.checkpoint.as_ref().unwrap().display()
-                );
-                s
-            }
-            Err(e) => panic!("--resume failed: {e}"),
-        }
-    } else {
-        Sweep::new(config.clone())
-    };
+    let mut sweep = Sweep::new(config.clone());
     let threads = leonardo_exec::resolve_threads(config.threads);
     session.set_threads(threads);
     session.set_plane_width(BlockKernelW::<SweepPlane>::GENOMES_PER_BLOCK as usize);
@@ -208,15 +184,14 @@ fn main() {
     // checks the sweep's sharding, wide-block masking and merge, but not
     // the kernel, which both paths run
     let started = Instant::now();
-    let checkpoint = sweep.checkpoint();
-    for (shard, got) in sweep.plan().shards().iter().zip(&checkpoint.shards) {
+    for (shard, got) in sweep.plan().shards().iter().zip(sweep.shard_tallies()) {
         let want = closed_form_tally(
             config.spec,
             shard.start_block..shard.end_block,
             config.sample_cap,
         );
         assert!(
-            (&got.hist, got.max_count, &got.samples) == (&want.hist, want.max_count, &want.samples),
+            *got == want,
             "shard {} (blocks {}..{}) disagrees with the closed form",
             shard.index,
             shard.start_block,
@@ -235,7 +210,7 @@ fn main() {
     println!(
         "  every shard ({}) and the merged landscape equal the closed form \
          (side folds + convolution, {:.1} ms)",
-        checkpoint.shards.len(),
+        sweep.plan().len(),
         started.elapsed().as_secs_f64() * 1e3
     );
 

@@ -185,8 +185,8 @@ impl Tally {
     /// genome already folded, so the samples stay the ascending prefix.
     ///
     /// `blocks` counts [`BLOCK_GENOMES`]-genome blocks at every width, so
-    /// shard plans, checkpoint cursors and chunk sizes mean the same
-    /// whatever `P` is. The range is scored in the `P::LANES`-genome
+    /// shard plans, shard cursors and chunk sizes mean the same whatever
+    /// `P` is. The range is scored in the `P::LANES`-genome
     /// blocks that contain it; where it starts or ends inside one, the
     /// limbs outside the range are masked off before anything is counted
     /// or sampled. Lane `l` of a wide block is genome `base + l`, so the

@@ -3,10 +3,8 @@
 //! A sweep is partitioned into contiguous, pairwise-disjoint **shards**
 //! of 64-genome blocks. The partition depends only on `(subspace_bits,
 //! shard count)` — never on thread count or timing — so per-shard results
-//! are reproducible, checkpointable and mergeable in any order, and the
-//! merged landscape is bit-identical for every shard/thread
-//! configuration (property-tested). The shard is also the resume unit:
-//! the checkpoint stores one cursor per shard.
+//! are reproducible, and the merged landscape is bit-identical for every
+//! shard/thread configuration (property-tested).
 
 use crate::kernel::BLOCK_GENOMES;
 use discipulus::genome::GENOME_BITS;
@@ -86,9 +84,8 @@ impl ShardPlan {
     }
 
     /// Rebuild a plan from raw shards **without** validating the
-    /// partition arithmetic — the entry point for the `analysis` linter
-    /// (which checks plans, including deliberately broken fixture plans)
-    /// and the checkpoint reader (which re-derives and cross-checks).
+    /// partition arithmetic — the entry point for the `analysis` linter,
+    /// which checks plans, including deliberately broken fixture plans.
     pub fn from_raw(subspace_bits: u32, shards: Vec<Shard>) -> ShardPlan {
         ShardPlan {
             subspace_bits,

@@ -1,8 +1,8 @@
-//! The sharded, multi-threaded, checkpointable sweep driver.
+//! The sharded, multi-threaded sweep driver.
 //!
-//! Shards fan out over [`leonardo_exec::ordered_map_range`]; each is
-//! walked through a fresh `BlockKernelW<SweepPlane>` (see [`SweepPlane`]:
-//! 512 consecutive genomes per kernel step), folding into the shard's
+//! Shards fan out over [`leonardo_exec::ordered_map`]; each is walked
+//! through a fresh `BlockKernelW<SweepPlane>` (see [`SweepPlane`]: 512
+//! consecutive genomes per kernel step), folding into the shard's own
 //! [`Tally`] at **chunk** granularity (a few thousand 64-genome blocks).
 //! Shard bounds, chunks and cursors count 64-genome blocks at every
 //! width, so a wide block that a cut falls inside is scored on both sides
@@ -12,21 +12,18 @@
 //! thread count — parallelism can reorder the work but not the result
 //! (property-tested in `tests/`).
 //!
-//! Chunks are also the checkpoint and cancellation boundary: a
-//! [`StopToken`] interrupts the sweep between chunks, and the driver
-//! then (and periodically) writes a [`Checkpoint`] capturing every
-//! shard's cursor and partials, so [`Sweep::resume`] continues exactly
-//! where a killed run stopped.
+//! Chunks are also the cancellation boundary: a [`StopToken`] interrupts
+//! the sweep between chunks, every shard keeps its cursor and partial
+//! tally, and calling [`Sweep::run`] again continues exactly where the
+//! interrupted call stopped.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint};
 use crate::kernel::{BlockKernelW, SweepPlane, Tally, BLOCK_GENOMES};
 use crate::shard::{ShardPlan, FULL_SUBSPACE_BITS};
 use discipulus::fitness::{FitnessSpec, FitnessValue};
 use discipulus::stats::FitnessHistogram;
 use leonardo_telemetry as tele;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Configuration of one landscape sweep.
 #[derive(Debug, Clone)]
@@ -44,13 +41,8 @@ pub struct SweepConfig {
     /// only the stored sample list is truncated, keeping the smallest
     /// genomes — the canonical prefix).
     pub sample_cap: usize,
-    /// Blocks per work chunk — the accumulation, cancellation and
-    /// checkpoint granularity.
+    /// Blocks per work chunk — the fold and cancellation granularity.
     pub chunk_blocks: u64,
-    /// Checkpoint file to maintain, if any.
-    pub checkpoint: Option<PathBuf>,
-    /// Write the checkpoint roughly every this many swept blocks.
-    pub checkpoint_every_blocks: u64,
 }
 
 impl SweepConfig {
@@ -74,19 +66,7 @@ impl SweepConfig {
             spec: FitnessSpec::paper(),
             sample_cap: 1 << 17,
             chunk_blocks: 1 << 12,
-            checkpoint: None,
-            // 2^30 genomes: about 0.15 s of a 2-core sweep between writes,
-            // each of which renders every shard's samples
-            checkpoint_every_blocks: 1 << 24,
         }
-    }
-
-    fn weights(&self) -> (u32, u32, u32) {
-        (
-            self.spec.equilibrium_weight,
-            self.spec.symmetry_weight,
-            self.spec.coherence_weight,
-        )
     }
 }
 
@@ -95,15 +75,14 @@ impl SweepConfig {
 pub enum SweepStatus {
     /// Every shard was swept to its end.
     Complete,
-    /// A [`StopToken`] fired; progress up to the last finished chunk is
-    /// in the checkpoint (when configured) and in [`Sweep::result`].
+    /// A [`StopToken`] fired; progress up to each shard's last finished
+    /// chunk is in [`Sweep::result`], and the next [`Sweep::run`]
+    /// continues from there.
     Interrupted,
 }
 
-/// Cooperative cancellation with an optional block budget — the test
-/// suite's stand-in for `kill -9` (the checkpoint a budget-stopped run
-/// leaves behind is exactly what a killed run's last periodic write
-/// would contain).
+/// Cooperative cancellation with an optional block budget, checked
+/// between chunks.
 #[derive(Debug, Clone, Default)]
 pub struct StopToken {
     inner: Arc<StopInner>,
@@ -157,11 +136,9 @@ impl StopToken {
     }
 }
 
-/// Accumulated state of one shard (lives behind a mutex during a run).
-#[derive(Debug, Clone)]
+/// One shard's progress: the next unswept block and the tally of the
+/// blocks before it.
 struct ShardState {
-    start_block: u64,
-    end_block: u64,
     cursor: u64,
     tally: Tally,
 }
@@ -210,11 +187,11 @@ impl LandscapeResult {
 pub struct Sweep {
     config: SweepConfig,
     plan: ShardPlan,
-    states: Vec<Mutex<ShardState>>,
+    states: Vec<ShardState>,
 }
 
 impl Sweep {
-    /// A fresh sweep (no checkpoint consulted).
+    /// A fresh sweep, every shard's cursor at its start.
     ///
     /// # Panics
     /// Panics if the configuration is out of range (see
@@ -229,13 +206,9 @@ impl Sweep {
         let states = plan
             .shards()
             .iter()
-            .map(|s| {
-                Mutex::new(ShardState {
-                    start_block: s.start_block,
-                    end_block: s.end_block,
-                    cursor: s.start_block,
-                    tally: Tally::new(config.spec),
-                })
+            .map(|s| ShardState {
+                cursor: s.start_block,
+                tally: Tally::new(config.spec),
             })
             .collect();
         Sweep {
@@ -245,196 +218,63 @@ impl Sweep {
         }
     }
 
-    /// Resume a sweep from the checkpoint file named in
-    /// `config.checkpoint`, rejecting checkpoints that belong to a
-    /// different configuration or are internally inconsistent.
-    pub fn resume(config: SweepConfig) -> Result<Sweep, CheckpointError> {
-        let path = config.checkpoint.clone().ok_or_else(|| {
-            CheckpointError::Mismatch("no checkpoint path configured".to_string())
-        })?;
-        let cp = Checkpoint::read(&path)?;
-        let mismatch = |why: String| Err(CheckpointError::Mismatch(why));
-        if cp.subspace_bits != config.subspace_bits {
-            return mismatch(format!(
-                "checkpoint sweeps 2^{}, config wants 2^{}",
-                cp.subspace_bits, config.subspace_bits
-            ));
-        }
-        if cp.weights != config.weights() {
-            return mismatch(format!(
-                "checkpoint weights {:?} != config weights {:?}",
-                cp.weights,
-                config.weights()
-            ));
-        }
-        if cp.sample_cap != config.sample_cap {
-            return mismatch("sample cap differs".to_string());
-        }
-        if cp.shards.len() != config.num_shards {
-            return mismatch(format!(
-                "checkpoint has {} shards, config wants {}",
-                cp.shards.len(),
-                config.num_shards
-            ));
-        }
-        let sweep = Sweep::new(config);
-        let levels = sweep.config.spec.max_fitness() as usize + 1;
-        for (state, saved) in sweep.states.iter().zip(&cp.shards) {
-            let mut st = state.lock().expect("shard state");
-            if saved.cursor < st.start_block || saved.cursor > st.end_block {
-                return mismatch(format!(
-                    "shard {} cursor {} outside {}..{}",
-                    saved.index, saved.cursor, st.start_block, st.end_block
-                ));
-            }
-            if saved.hist.len() != levels {
-                return mismatch(format!(
-                    "shard {} histogram has {} levels, spec needs {levels}",
-                    saved.index,
-                    saved.hist.len()
-                ));
-            }
-            st.cursor = saved.cursor;
-            st.tally = Tally {
-                hist: saved.hist.clone(),
-                max_count: saved.max_count,
-                samples: saved.samples.clone(),
-            };
-        }
-        Ok(sweep)
-    }
-
     /// The shard plan in force.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
-    /// Snapshot the current state as a [`Checkpoint`].
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            subspace_bits: self.config.subspace_bits,
-            weights: self.config.weights(),
-            sample_cap: self.config.sample_cap,
-            shards: self
-                .states
-                .iter()
-                .enumerate()
-                .map(|(index, state)| {
-                    let st = state.lock().expect("shard state");
-                    ShardCheckpoint {
-                        index,
-                        cursor: st.cursor,
-                        max_count: st.tally.max_count,
-                        hist: st.tally.hist.clone(),
-                        samples: st.tally.samples.clone(),
-                    }
-                })
-                .collect(),
-        }
+    /// Each shard's tally so far, in shard order: the tally of its
+    /// blocks from its start up to its cursor (all of them once the
+    /// sweep is complete).
+    pub fn shard_tallies(&self) -> impl ExactSizeIterator<Item = &Tally> {
+        self.states.iter().map(|st| &st.tally)
     }
 
     /// Run (or continue) the sweep until done or `stop` fires. Progress
     /// accumulates in place, so an interrupted sweep can be `run` again
-    /// to continue in-process, or resumed from its checkpoint file later.
+    /// to continue.
+    ///
+    /// Emits one `landscape.shard` event per shard that reached its end
+    /// during this call, in shard order once every worker is done, so
+    /// the stream is the same for every thread count.
     pub fn run(&mut self, stop: &StopToken) -> SweepStatus {
-        let since_checkpoint = AtomicU64::new(0);
-        let checkpoint_lock = Mutex::new(());
-        leonardo_exec::ordered_map_range(self.config.threads, self.states.len(), |idx| {
-            self.sweep_shard(idx, stop, &since_checkpoint, &checkpoint_lock);
+        let (spec, chunk, cap) = (
+            self.config.spec,
+            self.config.chunk_blocks,
+            self.config.sample_cap,
+        );
+        let shards = self.plan.shards();
+        let states = std::mem::take(&mut self.states);
+        let swept = leonardo_exec::ordered_map(self.config.threads, states, |idx, mut st| {
+            let (start, end) = (st.cursor, shards[idx].end_block);
+            let mut kernel = BlockKernelW::<SweepPlane>::new(spec);
+            while st.cursor < end && !stop.stopped() {
+                let chunk_end = (st.cursor + chunk).min(end);
+                st.tally.fold_blocks(&mut kernel, st.cursor..chunk_end, cap);
+                stop.add_processed(chunk_end - st.cursor);
+                st.cursor = chunk_end;
+            }
+            let finished = start < end && st.cursor == end;
+            (st, finished)
         });
-        let status = if stop.stopped() {
+        for ((st, finished), shard) in swept.into_iter().zip(shards) {
+            if finished && tele::enabled_at(tele::Level::Metric) {
+                tele::emit(
+                    tele::Level::Metric,
+                    "landscape.shard",
+                    &[
+                        ("shard", shard.index.into()),
+                        ("blocks", shard.blocks().into()),
+                        ("max_count", st.tally.max_count.into()),
+                    ],
+                );
+            }
+            self.states.push(st);
+        }
+        if stop.stopped() {
             SweepStatus::Interrupted
         } else {
             SweepStatus::Complete
-        };
-        // final checkpoint: interrupted runs persist their cut state,
-        // complete runs persist an all-cursors-at-end record
-        self.write_checkpoint();
-        status
-    }
-
-    /// Sweep shard `idx` from its cursor to its end, chunk by chunk,
-    /// until `stop` fires.
-    fn sweep_shard(
-        &self,
-        idx: usize,
-        stop: &StopToken,
-        since_checkpoint: &AtomicU64,
-        checkpoint_lock: &Mutex<()>,
-    ) {
-        let state = &self.states[idx];
-        let (mut cursor, end) = {
-            let st = state.lock().expect("shard state");
-            (st.cursor, st.end_block)
-        };
-        let mut kernel = BlockKernelW::<SweepPlane>::new(self.config.spec);
-        while cursor < end {
-            if stop.stopped() {
-                return;
-            }
-            let chunk_end = (cursor + self.config.chunk_blocks).min(end);
-            {
-                // cursor and tally move together, so a checkpoint taken
-                // mid-run always sees a chunk boundary
-                let mut st = state.lock().expect("shard state");
-                st.tally
-                    .fold_blocks(&mut kernel, cursor..chunk_end, self.config.sample_cap);
-                st.cursor = chunk_end;
-            }
-            let chunk_len = chunk_end - cursor;
-            cursor = chunk_end;
-            stop.add_processed(chunk_len);
-            self.maybe_checkpoint(since_checkpoint, chunk_len, checkpoint_lock);
-        }
-        if tele::enabled_at(tele::Level::Metric) {
-            let st = state.lock().expect("shard state");
-            tele::emit(
-                tele::Level::Metric,
-                "landscape.shard",
-                &[
-                    ("shard", idx.into()),
-                    ("blocks", (st.end_block - st.start_block).into()),
-                    ("max_count", st.tally.max_count.into()),
-                ],
-            );
-        }
-    }
-
-    fn maybe_checkpoint(
-        &self,
-        since_checkpoint: &AtomicU64,
-        blocks_done: u64,
-        checkpoint_lock: &Mutex<()>,
-    ) {
-        if self.config.checkpoint.is_none() {
-            return;
-        }
-        let total = since_checkpoint.fetch_add(blocks_done, Ordering::AcqRel) + blocks_done;
-        if total < self.config.checkpoint_every_blocks {
-            return;
-        }
-        // one writer at a time; whoever wins resets the counter
-        if let Ok(_guard) = checkpoint_lock.try_lock() {
-            since_checkpoint.store(0, Ordering::Release);
-            self.write_checkpoint();
-        }
-    }
-
-    fn write_checkpoint(&self) {
-        let Some(path) = &self.config.checkpoint else {
-            return;
-        };
-        if let Err(e) = self.checkpoint().write(path) {
-            eprintln!(
-                "warning: could not write checkpoint {}: {e}",
-                path.display()
-            );
-        } else if tele::enabled_at(tele::Level::Trace) {
-            tele::emit(
-                tele::Level::Trace,
-                "landscape.checkpoint",
-                &[("shards", self.states.len().into())],
-            );
         }
     }
 
@@ -445,11 +285,10 @@ impl Sweep {
         let mut tally = Tally::new(spec);
         let mut genomes_swept = 0u64;
         let mut complete = true;
-        for state in &self.states {
-            let st = state.lock().expect("shard state");
+        for (st, shard) in self.states.iter().zip(self.plan.shards()) {
             tally.absorb(&st.tally, self.config.sample_cap);
-            genomes_swept += (st.cursor - st.start_block) * BLOCK_GENOMES;
-            complete &= st.cursor == st.end_block;
+            genomes_swept += (st.cursor - shard.start_block) * BLOCK_GENOMES;
+            complete &= st.cursor == shard.end_block;
         }
         debug_assert!(tally.samples.windows(2).all(|w| w[0] < w[1]));
         let mut histogram = FitnessHistogram::new(spec.max_fitness());

@@ -5,10 +5,8 @@
 //! it must reproduce the committed E15 histogram and the golden max set.
 
 use discipulus::fitness::{max_fitness_genomes, FitnessSpec, Rule};
-use leonardo_landscape::checkpoint::fnv1a64;
-use leonardo_landscape::closed_form_tally;
 use leonardo_landscape::kernel::{BlockKernelW, SweepPlane, Tally, BLOCK_GENOMES, TOTAL_BLOCKS};
-use std::fmt::Write as _;
+use leonardo_landscape::{closed_form_tally, max_set_pin};
 use std::ops::Range;
 
 const SPECS: [FitnessSpec; 2] = [FitnessSpec::paper(), FitnessSpec::without(Rule::Symmetry)];
@@ -117,15 +115,9 @@ fn full_space_reproduces_e15_and_the_golden_max_set() {
     assert_eq!(rows.len(), 27);
     assert_eq!(tally.hist, rows);
 
-    let mut listing = String::new();
-    for g in &tally.samples {
-        writeln!(listing, "{g:09x}").unwrap();
-    }
-    let rendered = format!(
-        "max_set_cardinality {}\nmax_set_fnv1a64 {:016x}\n",
-        tally.max_count,
-        fnv1a64(listing.as_bytes())
-    );
     assert_eq!(tally.samples.len() as u64, tally.max_count);
-    assert_eq!(rendered, repo_file("tests/golden/landscape_max_set.txt"));
+    assert_eq!(
+        max_set_pin(&tally.samples),
+        repo_file("tests/golden/landscape_max_set.txt")
+    );
 }

@@ -12,10 +12,8 @@
 use discipulus::fitness::{max_fitness_genomes, FitnessSpec};
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::params::GapParams;
-use leonardo_landscape::checkpoint::fnv1a64;
-use leonardo_landscape::{BlockKernel, FULL_SWEEP_MAX_SET};
+use leonardo_landscape::{max_set_pin, BlockKernel, FULL_SWEEP_MAX_SET};
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -29,23 +27,10 @@ fn analytic_max_set() -> Vec<u64> {
     set
 }
 
-/// Render the golden artefact: cardinality + digest of the full list.
-fn render_golden(set: &[u64]) -> String {
-    let mut listing = String::new();
-    for g in set {
-        writeln!(listing, "{g:09x}").unwrap();
-    }
-    format!(
-        "max_set_cardinality {}\nmax_set_fnv1a64 {:016x}\n",
-        set.len(),
-        fnv1a64(listing.as_bytes())
-    )
-}
-
 #[test]
 fn max_set_matches_the_golden_pin() {
     let set = analytic_max_set();
-    let rendered = render_golden(&set);
+    let rendered = max_set_pin(&set);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
         return;

@@ -1,10 +1,13 @@
 //! Shard-partition properties: for arbitrary shard and thread counts the
-//! plan is an exact disjoint cover of the block space, and the merged
-//! sweep result is bit-identical to a single-shard, single-threaded
-//! reference — parallel scheduling may reorder the work but never change
-//! the landscape.
+//! plan is an exact disjoint cover of the block space, every shard's
+//! tally is the closed form of its block range, and the merged sweep
+//! result is bit-identical to a single-shard, single-threaded reference —
+//! parallel scheduling may reorder the work but never change the
+//! landscape.
 
-use leonardo_landscape::{Shard, ShardPlan, StopToken, Sweep, SweepConfig, SweepStatus};
+use leonardo_landscape::{
+    closed_form_tally, Shard, ShardPlan, StopToken, Sweep, SweepConfig, SweepStatus,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,7 +41,8 @@ proptest! {
     }
 
     /// The plan depends only on (bits, shards) — regenerating it gives
-    /// the identical partition (the determinism resume relies on).
+    /// the identical partition (the determinism per-shard results rely
+    /// on).
     #[test]
     fn plans_are_deterministic(bits in 6u32..=36, shards in 1usize..=512) {
         prop_assert_eq!(ShardPlan::new(bits, shards), ShardPlan::new(bits, shards));
@@ -50,8 +54,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Sweeping the same subspace under arbitrary shard counts, thread
-    /// counts and chunk sizes merges to a histogram and max-sample list
-    /// bit-identical to the 1-shard 1-thread reference.
+    /// counts and chunk sizes leaves each shard with the closed-form
+    /// tally of its block range, and merges to a histogram and max-sample
+    /// list bit-identical to the 1-shard 1-thread reference.
     #[test]
     fn merged_sweep_is_bit_identical_for_any_configuration(
         bits in 6u32..=13,
@@ -70,8 +75,14 @@ proptest! {
         cfg.num_shards = shards;
         cfg.threads = threads;
         cfg.chunk_blocks = chunk;
+        let (spec, cap) = (cfg.spec, cfg.sample_cap);
         let mut sweep = Sweep::new(cfg);
         prop_assert_eq!(sweep.run(&StopToken::never()), SweepStatus::Complete);
+        prop_assert_eq!(sweep.shard_tallies().len(), shards);
+        for (shard, tally) in sweep.plan().shards().iter().zip(sweep.shard_tallies()) {
+            let want = closed_form_tally(spec, shard.start_block..shard.end_block, cap);
+            prop_assert!(tally == &want, "shard {} differs from the closed form", shard.index);
+        }
         let got = sweep.result();
 
         prop_assert_eq!(got.histogram.counts(), want.histogram.counts());
