@@ -28,6 +28,13 @@
 //! generation, the break-even running-lane count they imply, and the
 //! driver's `HANDOFF_LANES` beside it.
 //!
+//! The plane-op row times, at every width, the GA engine's hottest plane
+//! loops one call at a time: a CA clock of every lane, a masked clock
+//! (a retry round's), a stride-37 jump (the crossover copy's 36 dead
+//! cycles plus the next draw) and one score gather over a 32-individual
+//! population. It is where a codegen change to those loops shows up
+//! before it reaches the matrix.
+//!
 //! Every timing is the median over `--reps` runs.
 //!
 //! Alongside the JSON it writes a versioned run manifest
@@ -45,7 +52,9 @@ use leonardo_bench::harness::{
 };
 use leonardo_landscape::kernel::BLOCK_GENOMES;
 use leonardo_landscape::{BlockKernelW, SweepConfig, SweepPlane, Tally};
-use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig, Plane, W128, W256, W512};
+use leonardo_rtl::bitslice::{
+    gather_scores, CaRngXW, GapRtlXW, GapRtlXWConfig, Plane, SCORE_PLANES, W128, W256, W512,
+};
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_telemetry::{host_cores, RunManifest};
 use std::time::Instant;
@@ -192,6 +201,81 @@ impl Handoff {
     }
 }
 
+/// Calls timed per reading of a plane-op row (jumps: a tenth of it).
+const PLANE_OP_CALLS: u32 = 20_000;
+
+/// Median ns per call of the GA engine's hot plane loops at one width.
+struct PlaneOps {
+    lanes: usize,
+    clock_ns: f64,
+    masked_clock_ns: f64,
+    jump37_ns: f64,
+    gather_ns: f64,
+}
+
+impl PlaneOps {
+    fn measure<P: Plane>(reps: usize) -> PlaneOps {
+        use std::hint::black_box;
+        let ns = |wall: f64, calls: u32| wall * 1e9 / f64::from(calls);
+        let mut rng = CaRngXW::<P>::new(&trial_seeds(P::LANES));
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..PLANE_OP_CALLS {
+                rng.clock(black_box(P::ONES));
+            }
+        });
+        let clock_ns = ns(wall, PLANE_OP_CALLS);
+        // every third lane, as after a retry round's rejections
+        let mask = P::from_words(|w| 0x9249_2492_4924_9249u64.rotate_left(w as u32));
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..PLANE_OP_CALLS {
+                rng.clock(black_box(mask));
+            }
+        });
+        let masked_clock_ns = ns(wall, PLANE_OP_CALLS);
+        let jumps = PLANE_OP_CALLS / 10;
+        rng.advance(P::ONES, 37); // build the stride's table untimed
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..jumps {
+                rng.advance(black_box(P::ONES), 37);
+            }
+        });
+        let jump37_ns = ns(wall, jumps);
+        // 32 individuals' score planes and two 5-plane indices off the
+        // generator, gathered alternately
+        let mux: Vec<[P; SCORE_PLANES]> = (0..32)
+            .map(|_| {
+                rng.advance(P::ONES, 37);
+                let mut planes = [P::ZERO; SCORE_PLANES];
+                planes.copy_from_slice(rng.low_cells(SCORE_PLANES));
+                planes
+            })
+            .collect();
+        let mut stack = vec![[P::ZERO; SCORE_PLANES]; 6];
+        let idx: Vec<P> = rng.low_cells(10).to_vec();
+        let (wall, _) = median_of(reps, || {
+            for c in 0..PLANE_OP_CALLS as usize {
+                let planes = &idx[5 * (c % 2)..5 * (c % 2) + 5];
+                black_box(gather_scores(black_box(&mux), &mut stack, planes));
+            }
+        });
+        PlaneOps {
+            lanes: P::LANES,
+            clock_ns,
+            masked_clock_ns,
+            jump37_ns,
+            gather_ns: ns(wall, PLANE_OP_CALLS),
+        }
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{ \"plane_width\": {}, \"clock_ns\": {:.2}, \"masked_clock_ns\": {:.2}, \
+             \"jump37_ns\": {:.2}, \"gather_ns\": {:.2} }}",
+            self.lanes, self.clock_ns, self.masked_clock_ns, self.jump37_ns, self.gather_ns
+        )
+    }
+}
+
 /// Genomes scored per second by the pure plane kernel (the landscape
 /// block scorer) at one width, over the same genome count per width.
 /// `black_box` on the block index and the accumulated popcounts keeps
@@ -313,6 +397,21 @@ fn main() {
         handoff.step_us_1, handoff.step_us_64, handoff.scalar_us
     );
 
+    // the GA engine's hot plane loops, one call at a time per width
+    eprintln!("plane ops (median ns per call):");
+    let plane_ops = [
+        PlaneOps::measure::<u64>(reps),
+        PlaneOps::measure::<W128>(reps),
+        PlaneOps::measure::<W256>(reps),
+        PlaneOps::measure::<W512>(reps),
+    ];
+    for o in &plane_ops {
+        eprintln!(
+            "  w{:<4} clock {:>7.1}  masked {:>7.1}  jump37 {:>8.1}  gather {:>7.1}",
+            o.lanes, o.clock_ns, o.masked_clock_ns, o.jump37_ns, o.gather_ns
+        );
+    }
+
     // pure plane-kernel sweep: same genome count per width so walls compare
     let kernel_genomes: u64 = 1 << 26;
     eprintln!("plane kernel ({kernel_genomes} genomes each):");
@@ -361,6 +460,11 @@ fn main() {
         .map(|c| format!("    {}", c.to_json()))
         .collect::<Vec<_>>()
         .join(",\n");
+    let plane_ops_json = plane_ops
+        .iter()
+        .map(|o| format!("    {}", o.to_json()))
+        .collect::<Vec<_>>()
+        .join(",\n");
     let kernel_json = kernel_rows
         .iter()
         .map(|(lanes, wall, rate)| {
@@ -396,6 +500,7 @@ fn main() {
          \"handoff\": {{ \"steps\": {HANDOFF_STEPS}, \"u64_step_us_1_active\": {:.3}, \
          \"u64_step_us_64_active\": {:.3}, \"scalar_generation_us\": {:.3}, \
          \"break_even_lanes\": {break_even}, \"driver_handoff_lanes\": {HANDOFF_LANES} }},\n  \
+         \"plane_ops\": {{\n  \"calls\": {PLANE_OP_CALLS},\n  \"widths\": [\n{plane_ops_json}\n  ]\n  }},\n  \
          \"plane_kernel\": {{\n  \"genomes\": {kernel_genomes},\n  \"widths\": [\n{kernel_json}\n  ],\n  \
          \"best_plane_width\": {},\n  \"best_speedup_vs_u64\": {:.3}\n  }},\n  \
          \"fold\": {{\n  \"genomes\": {fold_genomes},\n  \"first_genome\": {FOLD_FIRST_GENOME},\n  \

@@ -18,7 +18,10 @@
 //!
 //! 1. mask-and-reject draws (`draw_below`) retry per lane — handled by
 //!    looping with a shrinking lane mask, so rejected lanes step their CA
-//!    one extra cycle while accepted lanes hold;
+//!    one extra cycle while accepted lanes hold (and keep their accepted
+//!    value in the generator); each retry cycle is counted per lane in a
+//!    bit-sliced per-phase counter that reaches the per-lane cycle
+//!    counters once per step;
 //! 2. the crossover decision draws a cut point only on success — the cut
 //!    draw runs under the success mask;
 //! 3. convergence: finished lanes freeze wholesale (their columns are
@@ -41,10 +44,10 @@
 //! and the batch engine omits it (debug-asserted).
 
 use crate::bitslice::fitness_xw::{FitnessUnitXW, SCORE_PLANES};
-use crate::bitslice::plane::Plane;
+use crate::bitslice::plane::{blend, Plane};
 use crate::bitslice::ram_xw::RamXW;
 use crate::bitslice::rng_xw::CaRngXW;
-use crate::bitslice::transpose::{planes_to_bytes_wide, planes_to_u16_wide};
+use crate::bitslice::transpose::{planes_to_bytes_wide, planes_to_lanes, planes_to_u16_wide};
 use crate::bitslice::LANES;
 use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState};
 use crate::resources::{ResourceReport, Resources};
@@ -120,6 +123,15 @@ enum Phase {
     Overhead,
 }
 
+/// Every phase, in `Phase as usize` order.
+const PHASES: [Phase; 5] = [
+    Phase::Init,
+    Phase::Fitness,
+    Phase::Reproduce,
+    Phase::Mutate,
+    Phase::Overhead,
+];
+
 fn phase_field(b: &mut CycleBreakdown, phase: Phase) -> &mut u64 {
     match phase {
         Phase::Init => &mut b.init,
@@ -130,12 +142,52 @@ fn phase_field(b: &mut CycleBreakdown, phase: Phase) -> &mut u64 {
     }
 }
 
+/// Bit planes of a sliced per-lane cycle counter (counts below 2¹⁶).
+const COUNT_PLANES: usize = 16;
+
+/// One phase's divergent-draw cycles of one step, bit-sliced:
+/// `planes[b]` bit `l` is bit `b` of lane `l`'s count.
+#[derive(Clone, Copy)]
+struct SlicedCount<P: Plane> {
+    planes: [P; COUNT_PLANES],
+    /// Increments so far — the bound on every lane's count.
+    rounds: u32,
+}
+
+impl<P: Plane> SlicedCount<P> {
+    const ZERO: SlicedCount<P> = SlicedCount {
+        planes: [P::ZERO; COUNT_PLANES],
+        rounds: 0,
+    };
+
+    /// Whether one more increment could overflow the planes.
+    fn full(&self) -> bool {
+        self.rounds == (1 << COUNT_PLANES) - 1
+    }
+
+    /// Add one to every lane of `mask`: a ripple-carry increment over the
+    /// planes a count can occupy so far.
+    fn increment(&mut self, mask: P) {
+        debug_assert!(!self.full());
+        self.rounds += 1;
+        let live = (u32::BITS - self.rounds.leading_zeros()) as usize;
+        let mut carry = mask;
+        for p in &mut self.planes[..live] {
+            let c = *p & carry;
+            *p ^= carry;
+            carry = c;
+        }
+    }
+}
+
 /// Per-step cycle accounting: cycles common to every active lane
-/// accumulate once here and are flushed to the per-lane counters when the
-/// step ends; divergent (subset-masked) cycles post directly.
+/// accumulate once in `uniform`, divergent (subset-masked) draw cycles in
+/// one sliced counter per phase, and both reach the per-lane counters
+/// when the step ends.
 struct Acct<P: Plane> {
     active: P,
     uniform: CycleBreakdown,
+    divergent: [SlicedCount<P>; PHASES.len()],
 }
 
 impl<P: Plane> Acct<P> {
@@ -143,6 +195,7 @@ impl<P: Plane> Acct<P> {
         Acct {
             active,
             uniform: CycleBreakdown::default(),
+            divergent: [SlicedCount::ZERO; PHASES.len()],
         }
     }
 }
@@ -161,8 +214,8 @@ struct Scratch<P: Plane> {
     /// selection mux tree (padding entries are never addressed: index
     /// draws are bounded by the population size).
     mux: Vec<[P; SCORE_PLANES]>,
-    /// Working levels of the mux reduction (half the leaf count).
-    mux_tmp: Vec<[P; SCORE_PLANES]>,
+    /// The mux tree's open subtrees, one per level ([`gather_scores`]).
+    mux_stack: Vec<[P; SCORE_PLANES]>,
 }
 
 impl<P: Plane> Scratch<P> {
@@ -176,31 +229,38 @@ impl<P: Plane> Scratch<P> {
             val: vec![0; P::LANES],
             idx: vec![0; P::LANES],
             mux: vec![[P::ZERO; SCORE_PLANES]; leaves],
-            mux_tmp: vec![[P::ZERO; SCORE_PLANES]; leaves / 2],
+            mux_stack: vec![[P::ZERO; SCORE_PLANES]; leaves.trailing_zeros() as usize + 1],
         }
     }
 }
 
-/// Per-lane strict `a > b` over score planes (MSB-first sliced
-/// comparator — the plane-parallel form of `P::LANES` integer compares).
+/// Per-lane `(a > b, a == b)` over score planes: the MSB-first sliced
+/// comparator, written out plane by plane — the plane-parallel form of
+/// `P::LANES` integer compares.
+#[inline(always)]
+fn cmp_planes<P: Plane>(a: &[P; SCORE_PLANES], b: &[P; SCORE_PLANES]) -> (P, P) {
+    const { assert!(SCORE_PLANES == 5) };
+    let eq4 = !(a[4] ^ b[4]);
+    let eq3 = eq4 & !(a[3] ^ b[3]);
+    let eq2 = eq3 & !(a[2] ^ b[2]);
+    let eq1 = eq2 & !(a[1] ^ b[1]);
+    let eq0 = eq1 & !(a[0] ^ b[0]);
+    let gt = (a[4] & !b[4])
+        | (eq4 & a[3] & !b[3])
+        | (eq3 & a[2] & !b[2])
+        | (eq2 & a[1] & !b[1])
+        | (eq1 & a[0] & !b[0]);
+    (gt, eq0)
+}
+
+/// Per-lane strict `a > b` over score planes.
 fn gt_planes<P: Plane>(a: &[P; SCORE_PLANES], b: &[P; SCORE_PLANES]) -> P {
-    let mut gt = P::ZERO;
-    let mut eq = P::ONES;
-    for p in (0..SCORE_PLANES).rev() {
-        gt |= eq & a[p] & !b[p];
-        eq &= !(a[p] ^ b[p]);
-    }
-    gt
+    cmp_planes(a, b).0
 }
 
 /// Per-lane `a ≥ b` over score planes.
 fn ge_planes<P: Plane>(a: &[P; SCORE_PLANES], b: &[P; SCORE_PLANES]) -> P {
-    let mut gt = P::ZERO;
-    let mut eq = P::ONES;
-    for p in (0..SCORE_PLANES).rev() {
-        gt |= eq & a[p] & !b[p];
-        eq &= !(a[p] ^ b[p]);
-    }
+    let (gt, eq) = cmp_planes(a, b);
     gt | eq
 }
 
@@ -220,42 +280,49 @@ fn set_plane_value<P: Plane>(planes: &mut [P; SCORE_PLANES], lane: usize, v: u32
     }
 }
 
+/// One mux-tree node: per lane, `hi` where `m` is set, else `lo`, over
+/// all score planes.
+#[inline(always)]
+fn mux_node<P: Plane>(hi: &[P; SCORE_PLANES], lo: &[P; SCORE_PLANES], m: P) -> [P; SCORE_PLANES] {
+    const { assert!(SCORE_PLANES == 5) };
+    [
+        blend(hi[0], lo[0], m),
+        blend(hi[1], lo[1], m),
+        blend(hi[2], lo[2], m),
+        blend(hi[3], lo[3], m),
+        blend(hi[4], lo[4], m),
+    ]
+}
+
 /// Sliced score gather: per lane, `mux[idx]` where the per-lane index
-/// arrives as `k` bit-planes — a binary mux tree reduced level by level,
-/// so a full batch of random-index score reads costs ~`3·5·len` plane
-/// ops and no data-dependent loads at all.
-fn gather_scores<P: Plane>(
+/// arrives as `k` bit-planes and `mux` holds `2ᵏ` leaves — a binary mux
+/// tree of `2ᵏ − 1` whole-node blends and no data-dependent loads. The
+/// tree is walked leaf by leaf: leaf `i` closes one subtree per trailing
+/// one bit of `i`, each merged with its left sibling parked on
+/// `stack[level]` (`stack` holds at least `k + 1` nodes). No loop runs
+/// across nodes, so each node stays a handful of whole-plane ops.
+///
+/// # Panics
+/// Debug-asserts `mux.len()` is a power of two `2ᵏ` with `idx.len() ≥ k`
+/// and `stack.len() > k`.
+pub fn gather_scores<P: Plane>(
     mux: &[[P; SCORE_PLANES]],
-    tmp: &mut [[P; SCORE_PLANES]],
+    stack: &mut [[P; SCORE_PLANES]],
     idx: &[P],
-    k: usize,
 ) -> [P; SCORE_PLANES] {
-    let mut len = mux.len();
-    debug_assert_eq!(len, 1usize << k);
-    if len == 1 {
-        return mux[0];
-    }
-    // level 0 reads the (preserved) leaf array, later levels halve in
-    // place: writes trail reads (j ≤ 2j), so the reduction never clobbers
-    // an unread node
-    let m = idx[0];
-    for j in 0..len / 2 {
-        for p in 0..SCORE_PLANES {
-            tmp[j][p] = (mux[2 * j + 1][p] & m) | (mux[2 * j][p] & !m);
+    debug_assert!(mux.len().is_power_of_two());
+    let k = mux.len().trailing_zeros() as usize;
+    debug_assert!(idx.len() >= k && stack.len() > k);
+    for (i, leaf) in mux.iter().enumerate() {
+        let mut node = *leaf;
+        let mut level = 0;
+        while i >> level & 1 == 1 {
+            node = mux_node(&node, &stack[level], idx[level]);
+            level += 1;
         }
+        stack[level] = node;
     }
-    len /= 2;
-    for &mb in idx.iter().take(k).skip(1) {
-        for j in 0..len / 2 {
-            let hi = tmp[2 * j + 1];
-            let lo = tmp[2 * j];
-            for ((t, h), l) in tmp[j].iter_mut().zip(hi).zip(lo) {
-                *t = (h & mb) | (l & !mb);
-            }
-        }
-        len /= 2;
-    }
-    tmp[0]
+    stack[k]
 }
 
 /// The width-generic batch Genetic Algorithm Processor.
@@ -308,7 +375,7 @@ impl<P: Plane> GapRtlXW<P> {
         let mut acct = Acct::new(gap.enabled);
         gap.run_initiator(&mut acct);
         gap.run_fitness_phase(&mut acct, gap.enabled);
-        gap.flush(&acct);
+        gap.flush(&mut acct);
         gap
     }
 
@@ -455,13 +522,14 @@ impl<P: Plane> GapRtlXW<P> {
         let mut acct = Acct::new(m);
         self.run_initiator(&mut acct);
         self.run_fitness_phase(&mut acct, m);
-        self.flush(&acct);
+        self.flush(&mut acct);
     }
 
-    /// Post the step's uniform cycle total to every active lane and settle
-    /// the RNG's dead-cycle debt.
-    fn flush(&mut self, acct: &Acct<P>) {
+    /// Post the step's cycles to every active lane and settle the RNG's
+    /// dead-cycle debt.
+    fn flush(&mut self, acct: &mut Acct<P>) {
         self.flush_owed(acct.active);
+        self.flush_divergent(acct);
         let u = acct.uniform;
         if u.total() == 0 {
             return;
@@ -477,6 +545,27 @@ impl<P: Plane> GapRtlXW<P> {
             b.mutate += u.mutate;
             b.overhead += u.overhead;
         });
+    }
+
+    /// Post the sliced divergent-draw counts to the per-lane counters and
+    /// clear them: one extraction and one pass over the active lanes per
+    /// phase that had any.
+    fn flush_divergent(&mut self, acct: &mut Acct<P>) {
+        let active = acct.active;
+        for (&phase, count) in PHASES.iter().zip(&mut acct.divergent) {
+            if count.rounds == 0 {
+                continue;
+            }
+            planes_to_u16_wide(&count.planes, &mut self.u16_buf);
+            *count = SlicedCount::ZERO;
+            let (counts, cycles, breakdown) =
+                (&self.u16_buf, &mut self.cycles, &mut self.breakdown);
+            active.for_each_set_lane(|l| {
+                let n = u64::from(counts[l]);
+                cycles[l] += n;
+                *phase_field(&mut breakdown[l], phase) += n;
+            });
+        }
     }
 
     /// Apply any owed dead cycles to the RNG (one jump), under the step's
@@ -517,15 +606,14 @@ impl<P: Plane> GapRtlXW<P> {
             *phase_field(&mut acct.uniform, phase) += 1;
         } else {
             // divergent draw (retry or cut): settle the debt for the whole
-            // active set first, then step only the drawing lanes
+            // active set first, then step only the drawing lanes and count
+            // their cycle in the phase's sliced counter
             self.flush_owed(acct.active);
             self.rng_advance(mask, 1);
-            let cycles = &mut self.cycles;
-            let breakdown = &mut self.breakdown;
-            mask.for_each_set_lane(|l| {
-                cycles[l] += 1;
-                *phase_field(&mut breakdown[l], phase) += 1;
-            });
+            if acct.divergent[phase as usize].full() {
+                self.flush_divergent(acct);
+            }
+            acct.divergent[phase as usize].increment(mask);
         }
         if let Some(log) = self.drawn_log.as_mut() {
             let rng = &self.rng;
@@ -534,10 +622,10 @@ impl<P: Plane> GapRtlXW<P> {
     }
 
     /// Mask-and-reject bounded draw for every lane of `mask`, bit-exact
-    /// per lane with the scalar `draw_below` (one cycle per attempt;
-    /// rejected lanes retry while accepted lanes hold). The retry ladder
-    /// accumulates accepted values as bit-planes and pays for a single
-    /// byte-spread extraction at the end, however many rounds it took.
+    /// per lane with the scalar `draw_below`, read back into `out` with a
+    /// single byte-spread extraction however many rounds it took. Lanes
+    /// outside `mask` receive the low `k` bits of their generator, which
+    /// callers never use.
     fn draw_below(
         &mut self,
         acct: &mut Acct<P>,
@@ -546,30 +634,34 @@ impl<P: Plane> GapRtlXW<P> {
         phase: Phase,
         out: &mut [u32],
     ) {
-        let mut planes = [P::ZERO; 16];
-        let k = self.draw_below_planes(acct, mask, bound, phase, &mut planes);
+        let k = self.draw_below_planes(acct, mask, bound, phase);
+        let planes = self.rng.low_cells(k);
         if k <= 8 {
-            planes_to_bytes_wide(&planes[..k], &mut self.byte_buf);
-            let bytes = &self.byte_buf;
-            mask.for_each_set_lane(|l| out[l] = u32::from(bytes[l]));
+            planes_to_bytes_wide(planes, &mut self.byte_buf);
+            for (o, &b) in out.iter_mut().zip(&self.byte_buf) {
+                *o = u32::from(b);
+            }
         } else {
-            planes_to_u16_wide(&planes[..k], &mut self.u16_buf);
-            let words = &self.u16_buf;
-            mask.for_each_set_lane(|l| out[l] = u32::from(words[l]));
+            planes_to_u16_wide(planes, &mut self.u16_buf);
+            for (o, &w) in out.iter_mut().zip(&self.u16_buf) {
+                *o = u32::from(w);
+            }
         }
     }
 
-    /// [`Self::draw_below`] whose accepted values stay as bit-planes
-    /// (`out[p]` = value bit `p` per lane) — the RNG state is the value,
-    /// so no per-lane extraction happens at all. Returns the plane count.
-    /// Bit-exact per lane with the scalar `draw_below`.
+    /// Mask-and-reject bounded draw for every lane of `mask` (one cycle
+    /// per attempt; rejected lanes retry while accepted lanes hold).
+    /// Returns the value width `k`: afterwards every lane of `mask` holds
+    /// its accepted value in the RNG's low `k` cells, because an accepted
+    /// lane's generator holds for the rest of the ladder — so the values
+    /// stay as bit-planes and no per-round blend is needed. Bit-exact per
+    /// lane with the scalar `draw_below`.
     fn draw_below_planes(
         &mut self,
         acct: &mut Acct<P>,
         mask: P,
         bound: u32,
         phase: Phase,
-        out: &mut [P; 16],
     ) -> usize {
         debug_assert!(bound > 0);
         let word_mask = bound.next_power_of_two().wrapping_sub(1) | (bound - 1);
@@ -578,18 +670,7 @@ impl<P: Plane> GapRtlXW<P> {
         let mut remaining = mask;
         while !remaining.is_zero() {
             self.draw(acct, remaining, phase);
-            let accept = remaining & self.rng.lt_const(k, bound);
-            if accept == mask {
-                // everyone accepted on the first attempt (always, when the
-                // bound is a power of two): a plain copy
-                out[..k].copy_from_slice(self.rng.low_cells(k));
-            } else if !accept.is_zero() {
-                let cells = self.rng.low_cells(k);
-                for (o, &c) in out.iter_mut().zip(cells) {
-                    *o = (c & accept) | (*o & !accept);
-                }
-            }
-            remaining &= !accept;
+            remaining &= !self.rng.lt_const(k, bound);
         }
         k
     }
@@ -602,22 +683,19 @@ impl<P: Plane> GapRtlXW<P> {
     }
 
     /// Initiator: fill the basis population, 2 RNG words + 1 write cycle
-    /// per individual, per lane.
+    /// per individual, per lane. A genome is the first word's 32 cells
+    /// plus the second word's low 4, as planes, transposed once into the
+    /// lane-major RAM column.
     fn run_initiator(&mut self, acct: &mut Acct<P>) {
         let a = acct.active;
-        let mut lo = vec![0u64; P::LANES];
+        let mut planes = [P::ZERO; GENOME_BITS];
         let mut genome = vec![0u64; P::LANES];
         for i in 0..self.config.params.population_size {
             self.draw(acct, a, Phase::Init);
-            let rng = &self.rng;
-            a.for_each_set_lane(|l| lo[l] = u64::from(rng.lane_word(l)));
+            planes[..32].copy_from_slice(self.rng.low_cells(32));
             self.draw(acct, a, Phase::Init);
-            let rng = &self.rng;
-            let lo = &lo;
-            a.for_each_set_lane(|l| {
-                let hi = u64::from(rng.lane_word(l) & 0xF);
-                genome[l] = (lo[l] | hi << 32) & GENOME_MASK;
-            });
+            planes[32..].copy_from_slice(self.rng.low_cells(GENOME_BITS - 32));
+            planes_to_lanes(&planes, a, &mut genome);
             self.advance_dead(acct, Phase::Init, 1); // write cycle
             self.basis.write_masked(i, a, &genome);
         }
@@ -678,10 +756,12 @@ impl<P: Plane> GapRtlXW<P> {
     fn select_parent(&mut self, acct: &mut Acct<P>, s: &mut Scratch<P>, second: bool) {
         let a = acct.active;
         let n = self.config.params.population_size as u32;
-        let mut ip = [P::ZERO; 16];
-        let mut jp = [P::ZERO; 16];
-        let k = self.draw_below_planes(acct, a, n, Phase::Reproduce, &mut ip);
-        self.draw_below_planes(acct, a, n, Phase::Reproduce, &mut jp);
+        let mut ip = [P::ZERO; 8];
+        let mut jp = [P::ZERO; 8];
+        let k = self.draw_below_planes(acct, a, n, Phase::Reproduce);
+        ip[..k].copy_from_slice(self.rng.low_cells(k));
+        self.draw_below_planes(acct, a, n, Phase::Reproduce);
+        jp[..k].copy_from_slice(self.rng.low_cells(k));
         self.advance_dead(acct, Phase::Reproduce, 2); // dual-port score read
         let take_better = self.chance(
             acct,
@@ -694,12 +774,12 @@ impl<P: Plane> GapRtlXW<P> {
         // plane blend — no data-dependent loads, no mispredicting branch.
         // Choose i exactly when (score_i ≥ score_j) agrees with the
         // chance bit (better on a hit, worse otherwise).
-        let si = gather_scores(&s.mux, &mut s.mux_tmp, &ip, k);
-        let sj = gather_scores(&s.mux, &mut s.mux_tmp, &jp, k);
+        let si = gather_scores(&s.mux, &mut s.mux_stack, &ip);
+        let sj = gather_scores(&s.mux, &mut s.mux_stack, &jp);
         let choose_i = !(ge_planes(&si, &sj) ^ take_better);
         let mut chosen = [P::ZERO; 8];
         for p in 0..k {
-            chosen[p] = (ip[p] & choose_i) | (jp[p] & !choose_i);
+            chosen[p] = blend(ip[p], jp[p], choose_i);
         }
         // only the winner's index leaves the sliced domain, to address the
         // lane-major genome gather
@@ -737,20 +817,24 @@ impl<P: Plane> GapRtlXW<P> {
         let (pa, pb, cut) = (&s.pa, &s.pb, &s.val);
         let (c, d) = (&mut s.c, &mut s.d);
         // single-point crossover (inlined from Genome::crossover),
-        // branchless: the crossed pair is computed for every lane and
-        // blended by the success mask — the success bit is a coin flip, so
-        // a data-dependent branch here mispredicts constantly. Stale cut
-        // entries are ≤ 34 (only cut draws write `val` during this phase),
-        // so the shift below never overflows.
-        for l in 0..P::LANES {
-            debug_assert!(cut[l] <= 34);
-            let xm = u64::from(xover.bit(l)).wrapping_neg();
-            let low = (1u64 << (1 + cut[l])) - 1;
-            let high = GENOME_MASK & !low;
-            let cx = pa[l] & low | pb[l] & high;
-            let dx = pb[l] & low | pa[l] & high;
-            c[l] = (cx & xm) | (pa[l] & !xm);
-            d[l] = (dx & xm) | (pb[l] & !xm);
+        // branchless: the crossed pair is computed for every lane of a limb
+        // that has an active lane and blended by the success mask — the
+        // success bit is a coin flip, so a data-dependent branch here
+        // mispredicts constantly. A lane without a cut draw holds a stale
+        // 6-bit value (≤ 63), which the wrapping mask below absorbs and
+        // the blend discards.
+        for w in (0..P::WORDS).filter(|&w| a.word(w) != 0) {
+            let xw = xover.word(w);
+            for l in 64 * w..64 * w + 64 {
+                debug_assert!(cut[l] < 64);
+                let xm = (xw >> (l % 64) & 1).wrapping_neg();
+                let low = (2u64 << cut[l]).wrapping_sub(1);
+                let high = GENOME_MASK & !low;
+                let cx = pa[l] & low | pb[l] & high;
+                let dx = pb[l] & low | pa[l] & high;
+                c[l] = (cx & xm) | (pa[l] & !xm);
+                d[l] = (dx & xm) | (pb[l] & !xm);
+            }
         }
         // bit-serial copy of both parents into the pipeline registers
         self.advance_dead(acct, Phase::Reproduce, GENOME_BITS as u64);
@@ -835,7 +919,7 @@ impl<P: Plane> GapRtlXW<P> {
         };
         let mut acct = Acct::new(active);
         self.step_internal(&mut acct);
-        self.flush(&acct);
+        self.flush(&mut acct);
         if telemetry {
             if tele::enabled_at(tele::Level::Trace) {
                 // lane occupancy of this lockstep step: the batch engine's
@@ -1180,23 +1264,64 @@ impl crate::netlist::Describe for GapRtlX64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitslice::plane::W128;
+    use crate::bitslice::plane::{W128, W512};
     use crate::gap_rtl::{GapRtl, GapRtlConfig};
 
     fn seeds(n: usize) -> Vec<u32> {
         (0..n as u32).map(|i| 0x1000 + 7 * i).collect()
     }
 
-    #[test]
-    fn initiator_matches_scalar_on_every_lane() {
-        let s = seeds(64);
-        let batch = GapRtlX64::new(GapRtlX64Config::paper().recording(), &s);
+    fn check_initiator_on_every_lane<P: Plane>() {
+        let s = seeds(P::LANES);
+        let batch = GapRtlXW::<P>::new(GapRtlXWConfig::paper().recording(), &s);
         for (l, &seed) in s.iter().enumerate() {
             let scalar = GapRtl::new(GapRtlConfig::paper(seed));
-            assert_eq!(batch.population(l), scalar.population(), "lane {l}");
-            assert_eq!(batch.drawn_log(l), scalar.drawn_log(), "lane {l} log");
-            assert_eq!(batch.cycles(l), scalar.clock().cycles(), "lane {l} cycles");
-            assert_eq!(batch.best(l), scalar.best(), "lane {l} best");
+            let name = P::NAME;
+            assert_eq!(batch.population(l), scalar.population(), "{name} lane {l}");
+            assert_eq!(
+                batch.drawn_log(l),
+                scalar.drawn_log(),
+                "{name} lane {l} log"
+            );
+            assert_eq!(
+                batch.cycles(l),
+                scalar.clock().cycles(),
+                "{name} lane {l} cycles"
+            );
+            assert_eq!(batch.best(l), scalar.best(), "{name} lane {l} best");
+        }
+    }
+
+    #[test]
+    fn initiator_matches_scalar_on_every_lane() {
+        // every limb of the widest plane goes through the initiator's
+        // plane-to-lane extraction
+        check_initiator_on_every_lane::<u64>();
+        check_initiator_on_every_lane::<W512>();
+    }
+
+    #[test]
+    fn sliced_counts_match_per_lane_counts() {
+        // the ripple only touches the planes the round count can reach,
+        // so uneven masks over 1000 rounds exercise every carry length
+        let mut count = SlicedCount::<W128>::ZERO;
+        let mut want = [0u32; 128];
+        for r in 0..1000u64 {
+            let mask = W128::from_words(|w| {
+                (r + 1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(r as u32 + 7 * w as u32)
+            });
+            count.increment(mask);
+            for (l, n) in want.iter_mut().enumerate() {
+                *n += u32::from(mask.bit(l));
+            }
+        }
+        for (l, &n) in want.iter().enumerate() {
+            let got: u32 = (0..COUNT_PLANES)
+                .map(|b| u32::from(count.planes[b].bit(l)) << b)
+                .sum();
+            assert_eq!(got, n, "lane {l}");
         }
     }
 

@@ -57,7 +57,7 @@ pub use fitness_xw::{
     consecutive_genome_planes, consecutive_genome_planes_w, lane_score_lits, lane_unit_score_lits,
     FitnessUnitX64, FitnessUnitXW, LANE_BITS, LANE_INDEX_PLANES, SCORE_PLANES,
 };
-pub use gap_xw::{GapRtlX64, GapRtlX64Config, GapRtlXW, GapRtlXWConfig};
+pub use gap_xw::{gather_scores, GapRtlX64, GapRtlX64Config, GapRtlXW, GapRtlXWConfig};
 pub use plane::{plane_registry, Plane, PlaneWidth, Wide, W128, W256, W512};
 pub use ram_xw::{RamX64, RamXW};
 pub use rng_xw::{CaRngX64, CaRngXW};

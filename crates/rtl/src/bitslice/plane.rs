@@ -10,6 +10,39 @@
 //! which is the whole performance story — the workspace `forbid(unsafe_code)`
 //! rules out hand-written `core::arch` intrinsics, and none are needed.
 //!
+//! ## The codegen rule for hot plane loops
+//!
+//! A `Wide` operator is one vector op only where LLVM sees it on its own.
+//! Inside a loop over CA cells, mux-tree nodes or planes, LLVM's loop
+//! vectorizer vectorizes *across* the loop's iterations instead: a `W512`
+//! CA clock written as `for i in 0..32` compiled to a 2 KB `memcpy` plus a
+//! `vpermt2q`/`vpunpck` shuffle loop, and the score gather's level loops
+//! to `vpgatherqq`/`vpscatterqq`. So the batch engine's hot plane loops
+//! take shapes that leave no such loop:
+//!
+//! - **limb-major, straight-line**: one loop over the plane's limbs
+//!   (`w in 0..P::WORDS`, reading limbs through [`Plane::word`]) whose
+//!   body is the whole update written out per cell with `each_cell!`.
+//!   The loop vectorizer then maps the limb loop onto vector registers:
+//!   one vector op per plane op ([`CaRngXW::clock`](super::CaRngXW::clock),
+//!   `clock_free`, the jump's nibble tables);
+//! - **a chain each step depends on**: the gather's leaf-by-leaf walk, the
+//!   comparators' and counters' carry chains, each step a whole-node
+//!   update ([`gather_scores`](super::gather_scores));
+//! - where neither fits, an opaque index (`std::hint::black_box`) on the
+//!   jump's row loop, which keeps each row's eight table lookups whole
+//!   loads instead of gathers.
+//!
+//! `perf_report`'s `plane_ops` row (median ns per call, median of five
+//! runs on a 2-core AVX-512 host) before → after these shapes:
+//!
+//! | width | clock | masked clock | stride-37 jump | score gather |
+//! |---|---|---|---|---|
+//! | u64 | 14.2 → 14.4 | 42.1 → 16.3 | 184 → 164 | 117 → 78 |
+//! | W128 | 36.2 → 17.6 | 43.9 → 45.9 | 337 → 250 | 226 → 125 |
+//! | W256 | 112 → 26.5 | 111 → 26.3 | 539 → 282 | 468 → 148 |
+//! | W512 | 199 → 49.4 | 241 → 49.9 | 1449 → 493 | 941 → 262 |
+//!
 //! A `Plane` doubles as the **lane mask** of its own width: bit `l`
 //! selects lane `l`, exactly like the 64-lane [`super::LaneMask`]. All
 //! mask algebra (hold-blends, mask-and-reject retries, convergence
@@ -23,6 +56,31 @@
 
 use core::fmt::Debug;
 use core::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+
+/// Run `$body` once per CA cell index `0..32`, written out as
+/// straight-line code with `$i` bound to a constant (see the codegen rule
+/// in the module docs).
+macro_rules! each_cell {
+    ($i:ident => $body:block) => {
+        each_cell!(@ $i $body;
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+            16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31)
+    };
+    (@ $i:ident $body:block; $($n:literal)*) => {
+        $({
+            let $i: usize = $n;
+            $body
+        })*
+    };
+}
+pub(crate) use each_cell;
+
+/// The per-lane select `(a & m) | (b & !m)`: lane `l` takes `a` where
+/// `m` is set and `b` elsewhere.
+#[inline(always)]
+pub(crate) fn blend<P: Plane>(a: P, b: P, m: P) -> P {
+    (a & m) | (b & !m)
+}
 
 /// A bit-sliced machine word carrying one logic signal for
 /// [`Self::LANES`] simulation lanes.
@@ -87,8 +145,10 @@ pub trait Plane:
     /// Number of set lanes.
     fn count_ones(self) -> u32;
 
-    /// Limb `w` (lanes `64·w .. 64·w + 64`).
-    fn word(self, w: usize) -> u64;
+    /// Limb `w` (lanes `64·w .. 64·w + 64`). Read through a reference, so
+    /// a loop over `w` reads the limb in place instead of copying the
+    /// whole word first.
+    fn word(&self, w: usize) -> u64;
 
     /// Replace limb `w`.
     fn set_word(&mut self, w: usize, value: u64);
@@ -161,9 +221,9 @@ impl Plane for u64 {
     }
 
     #[inline(always)]
-    fn word(self, w: usize) -> u64 {
+    fn word(&self, w: usize) -> u64 {
         debug_assert_eq!(w, 0);
-        self
+        *self
     }
 
     #[inline(always)]
@@ -317,7 +377,7 @@ macro_rules! wide_plane {
             }
 
             #[inline(always)]
-            fn word(self, w: usize) -> u64 {
+            fn word(&self, w: usize) -> u64 {
                 self.0[w]
             }
 

@@ -24,7 +24,7 @@
 //! hold-blend and are valid whenever every lane the caller cares about is
 //! in the mask (the engine uses them when no enabled lane is frozen).
 
-use crate::bitslice::plane::Plane;
+use crate::bitslice::plane::{blend, each_cell, Plane};
 use crate::bitslice::transpose::planes_to_bytes_wide;
 use crate::bitslice::{CELLS, LANES};
 use crate::netlist::{Describe, StaticNetlist};
@@ -32,7 +32,6 @@ use crate::resources::Resources;
 use crate::semantics::{Lit, Semantics, SeqCircuit};
 use discipulus::rng::analysis::ca_update_matrix;
 use discipulus::rng::MAXIMAL_RULE_90_150;
-use std::collections::HashMap;
 
 /// `P::LANES` independent 32-cell hybrid 90/150 CA generators,
 /// bit-sliced.
@@ -43,12 +42,10 @@ use std::collections::HashMap;
 pub struct CaRngXW<P: Plane> {
     /// Transposed state: `cells[i]` bit `l` = cell `i` of lane `l`.
     cells: [P; CELLS],
-    /// Per-cell rule-150 self-tap, broadcast to all lanes (all-ones where
-    /// the rule bit is set, zero elsewhere — branch-free step).
-    self_taps: [P; CELLS],
     /// Lazily built rows of `Mⁿ` per distinct advance stride `n`
-    /// (bit `j` of row `i` = tap from cell `j`; width-independent).
-    jumps: HashMap<u64, [u32; CELLS]>,
+    /// (bit `j` of row `i` = tap from cell `j`; width-independent). The
+    /// engine jumps by a handful of strides, so a scan beats hashing.
+    jumps: Vec<(u64, [u32; CELLS])>,
 }
 
 /// The 64-lane generator (one `u64` plane per signal).
@@ -56,6 +53,51 @@ pub type CaRngX64 = CaRngXW<u64>;
 
 /// Stepping is cheaper than a table jump below this stride.
 const MIN_JUMP: u64 = 8;
+
+/// Whether CA cell `i` carries the rule-150 self-tap of the certified
+/// maximal rule vector.
+#[inline(always)]
+const fn self_tap(i: usize) -> bool {
+    MAXIMAL_RULE_90_150 >> i & 1 == 1
+}
+
+/// Cell `i`'s next state from one limb of its old neighbourhood:
+/// `left ⊕ right`, plus `⊕ cell` on rule-150 cells. With `i` a constant
+/// this folds to one or two XORs.
+#[inline(always)]
+fn next_cell(left: u64, cell: u64, right: u64, i: usize) -> u64 {
+    if self_tap(i) {
+        left ^ cell ^ right
+    } else {
+        left ^ right
+    }
+}
+
+/// The 16 XOR combinations of four cells (entry `m` XORs the cells whose
+/// bit is set in `m`) — one four-Russians table, one limb.
+#[inline(always)]
+fn nibble_combos(a: u64, b: u64, x: u64, y: u64) -> [u64; 16] {
+    let ab = a ^ b;
+    let xy = x ^ y;
+    [
+        0,
+        a,
+        b,
+        ab,
+        x,
+        x ^ a,
+        x ^ b,
+        x ^ ab,
+        y,
+        y ^ a,
+        y ^ b,
+        y ^ ab,
+        xy,
+        xy ^ a,
+        xy ^ b,
+        xy ^ ab,
+    ]
+}
 
 impl<P: Plane> CaRngXW<P> {
     /// Create generators for `seeds.len() ≤ P::LANES` lanes with the
@@ -69,13 +111,8 @@ impl<P: Plane> CaRngXW<P> {
         assert!(seeds.len() <= P::LANES, "at most {} lanes", P::LANES);
         let mut rng = CaRngXW {
             cells: [P::ZERO; CELLS],
-            self_taps: [P::ZERO; CELLS],
-            jumps: HashMap::new(),
+            jumps: Vec::new(),
         };
-        let rule = MAXIMAL_RULE_90_150;
-        for (i, t) in rng.self_taps.iter_mut().enumerate() {
-            *t = P::splat(rule >> i & 1 == 1);
-        }
         for (l, &seed) in seeds.iter().enumerate() {
             rng.seed_lane(l, seed);
         }
@@ -100,34 +137,40 @@ impl<P: Plane> CaRngXW<P> {
     }
 
     /// One clock edge for the lanes in `mask`; all other lanes hold.
+    /// Written limb by limb with the 32 cell updates straight-line (see the
+    /// codegen rule in [`crate::bitslice::plane`]).
     #[inline]
     pub fn clock(&mut self, mask: P) {
         if mask == P::ONES {
             self.clock_free();
             return;
         }
-        let c = self.cells;
-        for i in 0..CELLS {
-            let mut n = c[i] & self.self_taps[i];
-            if i > 0 {
-                n ^= c[i - 1];
-            }
-            if i < CELLS - 1 {
-                n ^= c[i + 1];
-            }
-            self.cells[i] = (n & mask) | (c[i] & !mask);
+        let c = &mut self.cells;
+        for w in 0..P::WORDS {
+            let m = mask.word(w);
+            let mut left = 0u64;
+            each_cell!(i => {
+                let cell = c[i].word(w);
+                let right = c.get(i + 1).map_or(0, |r| r.word(w));
+                let next = next_cell(std::mem::replace(&mut left, cell), cell, right, i);
+                c[i].set_word(w, (next & m) | (cell & !m));
+            });
         }
     }
 
     /// One clock edge for every lane — the blend-free fast path.
     #[inline]
     pub fn clock_free(&mut self) {
-        let c = self.cells;
-        self.cells[0] = (c[0] & self.self_taps[0]) ^ c[1];
-        for i in 1..CELLS - 1 {
-            self.cells[i] = (c[i] & self.self_taps[i]) ^ c[i - 1] ^ c[i + 1];
+        let c = &mut self.cells;
+        for w in 0..P::WORDS {
+            let mut left = 0u64;
+            each_cell!(i => {
+                let cell = c[i].word(w);
+                let right = c.get(i + 1).map_or(0, |r| r.word(w));
+                let next = next_cell(std::mem::replace(&mut left, cell), cell, right, i);
+                c[i].set_word(w, next);
+            });
         }
-        self.cells[CELLS - 1] = (c[CELLS - 1] & self.self_taps[CELLS - 1]) ^ c[CELLS - 2];
     }
 
     /// Advance the lanes in `mask` by `n` cycles: short strides step,
@@ -157,43 +200,41 @@ impl<P: Plane> CaRngXW<P> {
 
     /// The `Mⁿ` row table for stride `n`, built on first use.
     fn jump_table(&mut self, n: u64) -> [u32; CELLS] {
-        if let Some(t) = self.jumps.get(&n) {
-            return *t;
+        if let Some(&(_, t)) = self.jumps.iter().find(|(stride, _)| *stride == n) {
+            return t;
         }
         let t = ca_update_matrix(MAXIMAL_RULE_90_150).pow(n).0;
-        self.jumps.insert(n, t);
+        self.jumps.push((n, t));
         t
     }
 
     /// Apply a matrix-power row table to the lanes in `mask` with the
-    /// four-Russians nibble decomposition.
+    /// four-Russians nibble decomposition: the 32 cell planes fold into 8
+    /// tables of 16 XOR combinations, built limb by limb, and each new
+    /// cell is 8 table lookups.
     fn apply_jump(&mut self, mask: P, table: &[u32; CELLS]) {
-        // fold the 32 cell planes into 8 nibble tables of 16 XOR combos
-        let c = self.cells;
         let mut nib = [[P::ZERO; 16]; 8];
-        for (g, t) in nib.iter_mut().enumerate() {
-            let base = 4 * g;
-            for m in 1usize..16 {
-                let low = m & (m - 1);
-                t[m] = t[low] ^ c[base + (m ^ low).trailing_zeros() as usize];
+        for w in 0..P::WORDS {
+            for (g, t) in nib.iter_mut().enumerate() {
+                let c = |j: usize| self.cells[4 * g + j].word(w);
+                for (e, v) in t.iter_mut().zip(nibble_combos(c(0), c(1), c(2), c(3))) {
+                    e.set_word(w, v);
+                }
             }
         }
-        if mask == P::ONES {
-            for (i, &row) in table.iter().enumerate() {
-                let mut n = P::ZERO;
-                for (g, t) in nib.iter().enumerate() {
-                    n ^= t[(row >> (4 * g) & 15) as usize];
-                }
-                self.cells[i] = n;
-            }
-        } else {
-            for (i, &row) in table.iter().enumerate() {
-                let mut n = P::ZERO;
-                for (g, t) in nib.iter().enumerate() {
-                    n ^= t[(row >> (4 * g) & 15) as usize];
-                }
-                self.cells[i] = (n & mask) | (c[i] & !mask);
-            }
+        for (i, &row) in table.iter().enumerate() {
+            // On a wide plane an opaque row keeps LLVM from vectorizing
+            // this loop across rows, which turns every lookup into gathers;
+            // each row's eight lookups stay whole-plane loads. A one-limb
+            // plane is better off with the across-row form.
+            let row = if P::WORDS > 1 {
+                std::hint::black_box(row)
+            } else {
+                row
+            };
+            let at = |g: usize| nib[g][(row >> (4 * g) & 15) as usize];
+            let n = at(0) ^ at(1) ^ at(2) ^ at(3) ^ at(4) ^ at(5) ^ at(6) ^ at(7);
+            self.cells[i] = blend(n, self.cells[i], mask);
         }
     }
 
@@ -329,7 +370,7 @@ impl Describe for CaRngX64 {
 /// the plane expressions of [`CaRngXW::clock_free`] by lane projection —
 /// exact because every operation in the sliced step is bitwise, so lane
 /// `l` of each plane op equals the scalar op on lane `l`'s bits. The
-/// `self_taps` broadcast planes project to per-cell constants. Every lane
+/// rule-150 self-taps are per-cell constants. Every lane
 /// of every plane width runs this identical network by construction, so
 /// the analysis gate's `CaRngRtl` ↔ lane miter covers the whole sliced
 /// unit; the per-width probes in [`crate::bitslice::plane_registry`] pin
@@ -342,7 +383,7 @@ impl Semantics for CaRngX64 {
         let init: Vec<bool> = (0..CELLS).map(|i| self.cells[i] & 1 == 1).collect();
         let cells = sc.register("cells", &init);
         let c = &mut sc.circuit;
-        let tap = |i: usize| self.self_taps[i] & 1 == 1;
+        let tap = self_tap;
         let mut next = vec![Lit::FALSE; CELLS];
         // cells[0] = (c[0] & taps[0]) ^ c[1]
         let t0 = if tap(0) { cells[0] } else { Lit::FALSE };

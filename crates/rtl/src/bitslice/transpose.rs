@@ -153,6 +153,48 @@ pub fn transposed_planes<P: Plane>(lane_major: &[u64], out: &mut [P]) {
     }
 }
 
+/// A limb with at most this many lanes to extract is read lane by lane:
+/// for a small `reset_lanes` group (the batch driver refills 8 lanes at a
+/// time) the per-lane bit reads cost less than a block transpose.
+const SPARSE_LANES: u32 = 8;
+
+/// The inverse of [`transposed_planes`] for the lanes of `lanes`:
+/// afterwards `out[l]` bit `b` is lane `l` of `planes[b]` for every lane
+/// `l` of `lanes` (bits from `planes.len()` up are zero). A limb with
+/// more than a few such lanes takes one 64×64 block transpose, which
+/// also overwrites the limb's other words; a sparse limb is read lane by
+/// lane. Words of limbs without a lane of `lanes` are left as they were.
+///
+/// # Panics
+/// Debug-asserts `planes.len() ≤ 64` and `out.len() == P::LANES`.
+pub fn planes_to_lanes<P: Plane>(planes: &[P], lanes: P, out: &mut [u64]) {
+    debug_assert!(planes.len() <= 64);
+    debug_assert_eq!(out.len(), P::LANES);
+    for w in 0..P::WORDS {
+        let mut m = lanes.word(w);
+        if m == 0 {
+            continue;
+        }
+        if m.count_ones() <= SPARSE_LANES {
+            while m != 0 {
+                let l = m.trailing_zeros();
+                out[64 * w + l as usize] = planes
+                    .iter()
+                    .enumerate()
+                    .fold(0, |v, (b, p)| v | (p.word(w) >> l & 1) << b);
+                m &= m - 1;
+            }
+            continue;
+        }
+        let mut block = [0u64; 64];
+        for (b, p) in block.iter_mut().zip(planes) {
+            *b = p.word(w);
+        }
+        transpose64(&mut block);
+        out[64 * w..64 * w + 64].copy_from_slice(&block);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +291,19 @@ mod tests {
         for (l, &w) in lane_major.iter().enumerate() {
             assert_eq!(u64::from(bytes[l]), w & 0x7F, "byte lane {l}");
             assert_eq!(u64::from(words[l]), w & 0xFFF, "u16 lane {l}");
+        }
+        // back to lanes: a dense limb (transposed), a sparse one (read
+        // lane by lane), an untouched one and a full one
+        let mut lanes = W256::from_words(|w| [!0x0F00u64, 0x8000_0000_0001_0201, 0, !0][w]);
+        lanes.set_bit(64 + 17, true);
+        let mut back = vec![u64::MAX; 256];
+        planes_to_lanes(&planes, lanes, &mut back);
+        for (l, &w) in lane_major.iter().enumerate() {
+            if lanes.bit(l) {
+                assert_eq!(back[l], w & ((1 << 40) - 1), "lane {l}");
+            } else if (128..192).contains(&l) {
+                assert_eq!(back[l], u64::MAX, "untouched lane {l}");
+            }
         }
     }
 

@@ -202,8 +202,9 @@ pub struct RunManifest {
     pub schema_version: u64,
     /// Experiment identifier, e.g. `"e1_convergence"`.
     pub experiment: String,
-    /// `git rev-parse HEAD` of the tree that produced the run, or
-    /// `"unknown"` outside a git checkout.
+    /// `git rev-parse HEAD` of the tree that produced the run, with
+    /// `-dirty` appended when tracked files had changes, or `"unknown"`
+    /// outside a git checkout (see [`git_revision`]).
     pub git_revision: String,
     /// Run creation time, seconds since the Unix epoch.
     pub created_unix: u64,
@@ -513,22 +514,36 @@ impl From<ParseError> for ManifestError {
     }
 }
 
-/// `git rev-parse HEAD` of the working directory, or `"unknown"` when git
-/// or the repository is unavailable (e.g. a source tarball build).
+/// `git rev-parse HEAD` of the working directory, marked `-dirty` when
+/// `git status --porcelain --untracked-files=no` lists changes (see
+/// [`revision_label`]), or `"unknown"` when git or the repository is
+/// unavailable (e.g. a source tarball build).
 pub fn git_revision() -> String {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output();
-    match out {
-        Ok(out) if out.status.success() => {
-            let rev = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            if rev.is_empty() {
-                "unknown".to_string()
-            } else {
-                rev
-            }
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) if !head.is_empty() => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|changes| !changes.is_empty());
+            revision_label(&head, dirty)
         }
         _ => "unknown".to_string(),
+    }
+}
+
+/// The recorded revision of a checkout at commit `head`: the commit
+/// itself, or `<head>-dirty` when tracked files differ from it.
+pub fn revision_label(head: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{head}-dirty")
+    } else {
+        head.to_string()
     }
 }
 
@@ -938,5 +953,11 @@ mod tests {
     #[test]
     fn git_revision_is_nonempty() {
         assert!(!git_revision().is_empty());
+    }
+
+    #[test]
+    fn a_dirty_tree_is_marked_in_the_revision() {
+        assert_eq!(revision_label("c7d6091", false), "c7d6091");
+        assert_eq!(revision_label("c7d6091", true), "c7d6091-dirty");
     }
 }
