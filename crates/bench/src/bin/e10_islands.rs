@@ -13,8 +13,9 @@ use discipulus::stats::SampleSummary;
 use evo::ga::GaConfig;
 use evo::island::{IslandConfig, IslandModel};
 use evo::problem::Trap;
-use leonardo_bench::harness::{arg_or, trial_seeds};
+use leonardo_bench::harness::trial_seeds;
 use leonardo_bench::GaitRuleProblem;
+use leonardo_exec::arg_or;
 
 fn scaling_on<P: evo::problem::Problem + Sync>(
     name: &str,

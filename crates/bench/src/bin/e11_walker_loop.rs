@@ -24,8 +24,9 @@ use discipulus::stats::SampleSummary;
 use evo::ga::{Ga, GaConfig};
 use evo::genome::BitString;
 use evo::problem::Problem;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, Verdict};
+use leonardo_exec::arg_or;
 use leonardo_walker::metrics::walking_fitness;
 
 /// Fitness = measured walking score of a 10-cycle simulated trial.

@@ -20,7 +20,8 @@ use discipulus::wide::{WideFitness, WideGenome, BITS_PER_STEP};
 use evo::ga::{Ga, GaConfig};
 use evo::genome::BitString;
 use evo::problem::Problem;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
+use leonardo_exec::arg_or;
 use leonardo_walker::metrics::score_report;
 use leonardo_walker::world::WalkTrial;
 

@@ -17,8 +17,9 @@
 //! Usage: `e13_seu [--trials N] [--max-gens G]`
 
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::ExperimentSession;
+use leonardo_exec::arg_or;
 use leonardo_faults::{Campaign, FaultModel};
 use leonardo_rtl::bitslice::LANES;
 

@@ -19,8 +19,9 @@
 //!
 //! Usage: `e14_fault_matrix [--trials N] [--max-gens G] [--threads T]`
 
-use leonardo_bench::harness::{arg_or, trial_seeds};
+use leonardo_bench::harness::trial_seeds;
 use leonardo_bench::ExperimentSession;
+use leonardo_exec::arg_or;
 use leonardo_faults::{Campaign, FaultModel};
 
 const RATES: [f64; 2] = [1.0, 5.0];

@@ -31,8 +31,9 @@ use discipulus::fitness::max_fitness_genomes;
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::genome::GENOME_BITS;
 use discipulus::params::GapParams;
-use leonardo_bench::harness::{arg_or, trial_seeds};
+use leonardo_bench::harness::trial_seeds;
 use leonardo_bench::{Comparison, ComparisonTable, ExperimentSession, Verdict};
+use leonardo_exec::arg_or;
 use leonardo_landscape::{
     closed_form_tally, BlockKernelW, LandscapeResult, StopToken, Sweep, SweepConfig, SweepPlane,
     SweepStatus, FULL_SWEEP_MAX_SET,

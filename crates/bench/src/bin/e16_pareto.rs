@@ -22,11 +22,11 @@
 //! [--threads N] [--table N] [--table-seed S] [--flat-only]`
 
 use discipulus::genome::Genome;
-use leonardo_bench::harness::arg_or;
 use leonardo_bench::{
-    max_set_walk_table, nsga2_campaigns, rule_walk_front, Comparison, ComparisonTable,
-    ExperimentSession, GaitMoProblem, Verdict,
+    max_set_walk_table, rule_walk_front, Comparison, ComparisonTable, ExperimentSession, Verdict,
 };
+use leonardo_exec::arg_or;
+use leonardo_problems::{nsga2_campaigns, GaitMoProblem};
 use leonardo_telemetry::json::Json;
 use leonardo_walker::objectives::objective_registry;
 use std::time::Instant;

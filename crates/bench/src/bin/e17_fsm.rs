@@ -20,12 +20,11 @@
 //! Usage: `e17_fsm [--generations N] [--seeds N] [--threads N]
 //! [--sweep-bits N] [--shards N]`
 
-use leonardo_bench::harness::arg_or;
 use leonardo_bench::{
-    problem_campaigns, problem_row, problem_table, Comparison, ComparisonTable, ExperimentSession,
-    Verdict,
+    problem_row, problem_table, Comparison, ComparisonTable, ExperimentSession, Verdict,
 };
-use leonardo_problems::{problem_registry, subspace_sweep};
+use leonardo_exec::arg_or;
+use leonardo_problems::{problem_campaigns, problem_registry, subspace_sweep};
 use leonardo_rtl::bitslice::W256;
 use leonardo_telemetry::json::Json;
 use std::time::Instant;

@@ -14,10 +14,10 @@
 
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{
-    arg_or, convergence_sample, parallel_map, rtl_convergence_batch, trial_seeds,
-};
+use leonardo_bench::harness::{convergence_sample, parallel_map, trial_seeds};
 use leonardo_bench::{trial_stats, Comparison, ComparisonTable, ExperimentSession, Verdict};
+use leonardo_exec::arg_or;
+use leonardo_rtl::driver::rtl_convergence_batch_w;
 
 /// Render a generations-to-convergence histogram over fixed-width buckets
 /// — the telemetry-derived convergence trajectory EXPERIMENTS.md quotes.
@@ -140,7 +140,7 @@ fn main() {
 
     // cycle-accurate cross-check on the bit-sliced batch engine: the same
     // multi-seed sampling, 64 RTL GAP instances per machine word
-    rtl_convergence_batch(&seeds, max_gens);
+    rtl_convergence_batch_w::<u64>(&seeds, max_gens, 0);
     let rtl = trial_stats(session.aggregator(), "rtl_x64");
     println!("RTL batch engine (64 lanes/word, own RNG stream):");
     match &rtl.summary {

@@ -13,8 +13,9 @@
 
 use discipulus::params::GapParams;
 use discipulus::timing::{CycleModel, TimingReport};
-use leonardo_bench::harness::{arg_or, convergence_sample, trial_seeds};
+use leonardo_bench::harness::{convergence_sample, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, Verdict};
+use leonardo_exec::arg_or;
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 
 fn main() {

@@ -12,8 +12,8 @@
 use discipulus::fitness::{max_fitness_genomes, FitnessSpec};
 use discipulus::genome::{Genome, GENOME_BITS, SEARCH_SPACE};
 use discipulus::stats::FitnessHistogram;
-use leonardo_bench::harness::arg_or;
 use leonardo_bench::{Comparison, ComparisonTable, Verdict};
+use leonardo_exec::arg_or;
 
 fn main() {
     let sample: u64 = arg_or("--sample", 2_000_000);

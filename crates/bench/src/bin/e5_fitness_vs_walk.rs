@@ -19,8 +19,9 @@ use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::genome::Genome;
 use discipulus::params::GapParams;
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, Verdict};
+use leonardo_exec::arg_or;
 use leonardo_walker::metrics::{walking_fitness, WalkScore};
 
 fn describe(name: &str, scores: &[WalkScore], tripod: f64) {

@@ -9,8 +9,9 @@
 //! Usage: `e6_pipeline [--gens G] [--seeds N]`
 
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::{Comparison, ComparisonTable, Verdict};
+use leonardo_exec::arg_or;
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 
 fn main() {

@@ -11,7 +11,8 @@ use discipulus::fitness::{FitnessSpec, Rule};
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::params::GapParams;
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use leonardo_bench::harness::{parallel_map, trial_seeds};
+use leonardo_exec::arg_or;
 use leonardo_walker::metrics::walking_fitness;
 
 struct Variant {

@@ -6,7 +6,7 @@
 //! data-dependent."
 //!
 //! Compares the on-chip CA generator against a 32-bit LFSR and a
-//! cryptographic-quality library RNG: bit statistics, period
+//! library RNG (`evo`'s xoshiro256++ `SmallRng`): bit statistics, period
 //! certification, and — what actually matters — whether the GA converges
 //! equally well on all three.
 //!
@@ -15,18 +15,27 @@
 use discipulus::gap::GeneticAlgorithmProcessor;
 use discipulus::params::GapParams;
 use discipulus::rng::analysis::{is_maximal_rule, ones_fraction};
-use discipulus::rng::{CellularRng, FromRngCore, Lfsr32, RngSource, MAXIMAL_RULE_90_150};
+use discipulus::rng::{CellularRng, Lfsr32, RngSource, MAXIMAL_RULE_90_150};
 use discipulus::stats::SampleSummary;
-use leonardo_bench::harness::{arg_or, parallel_map, trial_seeds};
+use evo::rng::SmallRng;
+use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::ExperimentSession;
+use leonardo_exec::arg_or;
 use leonardo_rtl::bitslice::CaRngX64;
 use leonardo_rtl::rng_rtl::CaRngRtl;
 use leonardo_telemetry as tele;
 use leonardo_telemetry::sink::Aggregator;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// The library generator as a GAP draw source: one `next_u32` per word.
+struct SmallRngSource(SmallRng);
+
+impl RngSource for SmallRngSource {
+    fn next_word(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+}
 
 /// Run one GA trial per seed under `make`'s generator, publishing each
 /// trial as a `bench.trial` event tagged with the generator's name.
@@ -129,7 +138,7 @@ fn main() {
     convergence_with("lfsr32", Lfsr32::new, &seeds, 200_000);
     convergence_with(
         "smallrng",
-        |seed| FromRngCore(SmallRng::seed_from_u64(u64::from(seed))),
+        |seed| SmallRngSource(SmallRng::seed_from_u64(u64::from(seed))),
         &seeds,
         200_000,
     );

@@ -9,7 +9,8 @@
 //! Usage: `e9_sweep [--trials N] [--max-gens G]`
 
 use discipulus::params::GapParams;
-use leonardo_bench::harness::{arg_or, convergence_sample, trial_seeds};
+use leonardo_bench::harness::{convergence_sample, trial_seeds};
+use leonardo_exec::arg_or;
 
 fn run_axis(name: &str, variants: Vec<(String, GapParams)>, trials: usize, max_gens: u64) {
     println!("-- sweep: {name} --");

@@ -46,14 +46,15 @@
 //! Usage: `perf_report [--trials N] [--max-gens G] [--reps R] [--out FILE]`
 
 use discipulus::fitness::FitnessSpec;
-use leonardo_bench::harness::{
-    arg_or, engine_label, rtl_convergence_batch_w, rtl_convergence_scalar, trial_seeds, RtlTrial,
-    HANDOFF_LANES,
-};
+use leonardo_bench::harness::trial_seeds;
+use leonardo_exec::arg_or;
 use leonardo_landscape::kernel::BLOCK_GENOMES;
 use leonardo_landscape::{BlockKernelW, SweepConfig, SweepPlane, Tally};
 use leonardo_rtl::bitslice::{
     gather_scores, CaRngXW, GapRtlXW, GapRtlXWConfig, Plane, SCORE_PLANES, W128, W256, W512,
+};
+use leonardo_rtl::driver::{
+    engine_label, rtl_convergence_batch_w, rtl_convergence_scalar, RtlTrial, HANDOFF_LANES,
 };
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_telemetry::{host_cores, RunManifest};

@@ -19,8 +19,7 @@
 //! primitive polynomial x³² + x²² + x² + x + 1), provided for the RNG
 //! comparison experiment (E8).
 //!
-//! Both generators implement [`RngSource`], the draw interface of the GAP,
-//! and [`rand_core::Rng`] so they can plug into `rand`-based code.
+//! Both generators implement [`RngSource`], the draw interface of the GAP.
 
 use core::fmt;
 
@@ -218,28 +217,6 @@ impl RngSource for CellularRng {
     }
 }
 
-impl rand_core::TryRng for CellularRng {
-    type Error = core::convert::Infallible;
-
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        Ok(RngSource::next_word(self))
-    }
-
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        let lo = RngSource::next_word(self) as u64;
-        let hi = RngSource::next_word(self) as u64;
-        Ok(lo | hi << 32)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Self::Error> {
-        for chunk in dest.chunks_mut(4) {
-            let w = RngSource::next_word(self).to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-        Ok(())
-    }
-}
-
 /// 32-bit Galois LFSR over the primitive polynomial
 /// x³² + x²² + x² + x + 1 (feedback mask `0x8040_0003` in LSB-shift form),
 /// the classic alternative FPGA PRNG.
@@ -284,39 +261,6 @@ impl RngSource for Lfsr32 {
             self.step();
         }
         self.state
-    }
-}
-
-impl rand_core::TryRng for Lfsr32 {
-    type Error = core::convert::Infallible;
-
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        Ok(RngSource::next_word(self))
-    }
-
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        let lo = RngSource::next_word(self) as u64;
-        let hi = RngSource::next_word(self) as u64;
-        Ok(lo | hi << 32)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Self::Error> {
-        for chunk in dest.chunks_mut(4) {
-            let w = RngSource::next_word(self).to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-        Ok(())
-    }
-}
-
-/// Adapter exposing any [`rand_core::Rng`] as an [`RngSource`] (used to
-/// compare the hardware generators against library RNGs in E8).
-#[derive(Debug, Clone)]
-pub struct FromRngCore<R>(pub R);
-
-impl<R: rand_core::Rng> RngSource for FromRngCore<R> {
-    fn next_word(&mut self) -> u32 {
-        self.0.next_u32()
     }
 }
 
@@ -608,18 +552,6 @@ mod tests {
         replay.next_word();
         replay.next_word();
         replay.next_word();
-    }
-
-    #[test]
-    fn rngcore_impls_work() {
-        use rand_core::Rng;
-        let mut ca = CellularRng::new(5);
-        let mut lf = Lfsr32::new(5);
-        assert_ne!(ca.next_u64(), 0);
-        assert_ne!(lf.next_u64(), 0);
-        let mut buf = [0u8; 7];
-        ca.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use crate::genome::BitString;
 use crate::problem::Problem;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use crate::rng::SmallRng;
 
 /// Evaluation budget for a baseline searcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

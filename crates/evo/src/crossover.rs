@@ -1,7 +1,7 @@
 //! Crossover operators.
 
 use crate::genome::BitString;
-use rand::{Rng, RngExt};
+use crate::rng::SmallRng;
 
 /// A crossover operator producing two offspring from two parents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,11 +23,11 @@ impl Crossover {
     /// # Panics
     /// Panics if parents have different widths or width < 2 (no interior
     /// cut point exists).
-    pub fn apply<R: Rng + ?Sized>(
+    pub fn apply(
         &self,
         a: &BitString,
         b: &BitString,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> (BitString, BitString) {
         assert_eq!(a.width(), b.width(), "parent width mismatch");
         let w = a.width();
@@ -57,8 +57,6 @@ impl Crossover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn parents(w: usize, seed: u64) -> (BitString, BitString, SmallRng) {
         let mut rng = SmallRng::seed_from_u64(seed);

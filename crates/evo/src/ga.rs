@@ -4,10 +4,9 @@ use crate::crossover::Crossover;
 use crate::genome::BitString;
 use crate::mutate::Mutation;
 use crate::problem::Problem;
+use crate::rng::SmallRng;
 use crate::select::Selection;
 use leonardo_telemetry as tele;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 
 /// Configuration of a [`Ga`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,6 +1,6 @@
 //! Arbitrary-width bit-string genomes.
 
-use rand::Rng;
+use crate::rng::SmallRng;
 use std::fmt;
 
 /// A fixed-width string of bits, the genome representation used by every
@@ -25,7 +25,7 @@ impl BitString {
     }
 
     /// A uniformly random string of `width` bits.
-    pub fn random<R: Rng + ?Sized>(width: usize, rng: &mut R) -> BitString {
+    pub fn random(width: usize, rng: &mut SmallRng) -> BitString {
         let mut s = BitString::zeros(width);
         for w in &mut s.words {
             *w = rng.next_u64();
@@ -158,17 +158,17 @@ impl BitString {
 
     /// Uniform crossover: for each bit, swap between the offspring with
     /// probability `p_swap`.
-    pub fn crossover_uniform<R: Rng + ?Sized>(
+    pub fn crossover_uniform(
         &self,
         other: &BitString,
         p_swap: f64,
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> (BitString, BitString) {
         assert_eq!(self.width, other.width, "width mismatch");
         let mut a = self.clone();
         let mut b = other.clone();
         for i in 0..self.width {
-            if rand::RngExt::random_bool(rng, p_swap) {
+            if rng.random_bool(p_swap) {
                 a.set(i, other.get(i));
                 b.set(i, self.get(i));
             }
@@ -204,8 +204,6 @@ impl fmt::Debug for BitString {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zeros_and_width() {

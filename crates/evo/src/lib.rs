@@ -17,6 +17,7 @@
 //! * a deterministic multi-threaded island model ([`island`]);
 //! * a parallel parameter-sweep driver ([`sweep`]) and sample statistics
 //!   ([`stats`]);
+//! * the one seeded generator every operator draws from ([`rng`]);
 //! * the width-generic [`evolvable`] contract — named single-word
 //!   integer-fitness problems (gait rules, FSM synthesis) that adapt onto
 //!   every searcher here via [`evolvable::Evolvable`].
@@ -47,6 +48,7 @@ pub mod mo;
 pub mod mutate;
 pub mod pareto;
 pub mod problem;
+pub mod rng;
 pub mod select;
 pub mod stats;
 pub mod steady;

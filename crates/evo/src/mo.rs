@@ -17,9 +17,8 @@ use crate::ga::GaConfig;
 use crate::genome::BitString;
 use crate::pareto::{FrontPoint, ParetoRank};
 use crate::problem::Problem;
+use crate::rng::SmallRng;
 use leonardo_telemetry as tele;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 
 /// A multi-objective optimization problem over [`BitString`] genomes.
 /// Every objective is maximized; implementations must return finite

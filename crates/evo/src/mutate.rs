@@ -1,7 +1,7 @@
 //! Mutation operators.
 
 use crate::genome::BitString;
-use rand::{Rng, RngExt};
+use crate::rng::SmallRng;
 
 /// A mutation operator over a whole population or a single genome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +29,7 @@ impl Mutation {
     }
 
     /// Mutate a population in place.
-    pub fn apply_population<R: Rng + ?Sized>(&self, population: &mut [BitString], rng: &mut R) {
+    pub fn apply_population(&self, population: &mut [BitString], rng: &mut SmallRng) {
         if population.is_empty() {
             return;
         }
@@ -68,8 +68,6 @@ impl Mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn fixed_count_flips_expected_number() {

@@ -17,7 +17,7 @@
 //! values on either side.
 
 use crate::genome::BitString;
-use rand::{Rng, RngExt};
+use crate::rng::SmallRng;
 use std::cmp::Ordering;
 
 /// `true` iff `a` Pareto-dominates `b`: at least as good in every
@@ -182,7 +182,7 @@ impl ParetoRank {
     /// dominated individual can never beat one that dominates it, because
     /// non-dominated sorting puts the dominator in a strictly earlier
     /// front.
-    pub fn tournament<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn tournament(&self, rng: &mut SmallRng) -> usize {
         let n = self.rank.len();
         let a = rng.random_range(0..n);
         let b = rng.random_range(0..n);
@@ -307,8 +307,6 @@ mod tests {
 
     #[test]
     fn tournament_favours_the_dominating_individual() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let objs = vec![vec![2.0, 2.0], vec![1.0, 1.0]];
         let r = ParetoRank::of(&objs);
         let mut rng = SmallRng::seed_from_u64(9);

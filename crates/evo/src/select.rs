@@ -6,7 +6,7 @@
 //! to implement in logic systems", paper §3.2); the alternatives exist for
 //! the software ablations.
 
-use rand::{Rng, RngExt};
+use crate::rng::SmallRng;
 
 /// A selection operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +46,7 @@ impl Selection {
     /// # Panics
     /// Panics on an empty population, a tournament with `k == 0`, or a
     /// truncation fraction outside `(0, 1]`.
-    pub fn pick<R: Rng + ?Sized>(&self, fitness: &[f64], rng: &mut R) -> usize {
+    pub fn pick(&self, fitness: &[f64], rng: &mut SmallRng) -> usize {
         let n = fitness.len();
         assert!(n > 0, "cannot select from an empty population");
         match *self {
@@ -125,8 +125,6 @@ impl Selection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn frequencies(sel: Selection, fitness: &[f64], trials: usize, seed: u64) -> Vec<f64> {
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -12,8 +12,7 @@ use crate::ga::GaConfig;
 use crate::genome::BitString;
 use crate::mutate::Mutation;
 use crate::problem::Problem;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use crate::rng::SmallRng;
 
 /// A steady-state genetic algorithm over [`BitString`] genomes.
 pub struct SteadyStateGa<P: Problem> {

@@ -17,6 +17,9 @@
 //! single-threaded path is the literal sequential program, not a pool of
 //! one, which keeps `--threads 1` runs byte-for-byte comparable with the
 //! historical single-core drivers.
+//!
+//! [`arg_or`] and [`flag_value`] read the drivers' `--flag value`
+//! command-line options, `--threads` among them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,37 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
+}
+
+/// Parse a `--flag value` style argument from the command line, with a
+/// default when the flag is absent. A value that does not parse (or a
+/// flag without one) ends the process with exit code 2 and a message
+/// naming the flag and the value, instead of running on the default.
+pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    match flag_value(&args, flag) {
+        Ok(value) => value.unwrap_or(default),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value of `--flag value` in `args`: `Ok(None)` when the flag is
+/// absent, an error naming the flag and the value when the value is
+/// missing or does not parse as `T`.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 /// Map `f` over `items` on `threads` workers and return the results **in
@@ -190,6 +224,24 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn flag_values_parse_or_fail_naming_the_flag() {
+        let args: Vec<String> = ["e15", "--shards", "7", "--threads", "x7", "--out"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(flag_value::<usize>(&args, "--shards"), Ok(Some(7)));
+        assert_eq!(flag_value::<usize>(&args, "--ga-trials"), Ok(None));
+        assert_eq!(
+            flag_value::<usize>(&args, "--threads"),
+            Err("--threads: cannot parse \"x7\"".to_string())
+        );
+        assert_eq!(
+            flag_value::<String>(&args, "--out"),
+            Err("--out needs a value".to_string())
+        );
+    }
 
     #[test]
     fn results_come_back_in_item_order() {

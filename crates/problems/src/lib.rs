@@ -25,18 +25,27 @@
 //! analysis gate's `check_problems` lint, and a [`sweep::subspace_sweep`]
 //! drives any kernel over a sharded genome subspace with bit-identical
 //! results at every width, shard count and thread count.
+//!
+//! Two campaign drivers run evolution over the catalog:
+//! [`campaign::problem_campaigns`] (seeded GA runs against any registry
+//! problem, E17) and [`mo_campaign::nsga2_campaigns`] (NSGA-II over the
+//! walker's objectives, E16). Both are bit-identical at any thread count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod campaign;
 pub mod gait;
 pub mod kernel;
 pub mod mealy;
+pub mod mo_campaign;
 pub mod registry;
 pub mod sweep;
 
+pub use campaign::{problem_campaign, problem_campaigns, ProblemTrial};
 pub use gait::GaitProblem;
 pub use kernel::{GaitKernel, MealyKernel, ProblemKernel};
 pub use mealy::{MealyMachine, MealyProblem, Trace};
+pub use mo_campaign::{nsga2_campaign, nsga2_campaigns, GaitMoProblem, MoCampaign, MoFrontRow};
 pub use registry::{problem_registry, KernelPlane, ProblemSpec};
 pub use sweep::{subspace_sweep, SweepSummary};

@@ -23,6 +23,8 @@
 //! * [`sim`] — clocked-simulation kernel (cycle counter, probes)
 //! * [`bitslice`] — width-generic SWAR batch engine (64–512 GAP
 //!   instances per plane word, one lane per bit)
+//! * [`driver`] — multi-seed GA drivers over the scalar and batch
+//!   engines (lane refill, hand-off to narrower engines and scalar chips)
 //! * [`primitives`] — registers, counters, RAMs, shift registers
 //! * [`rng_rtl`] — the free-running cellular-automaton RNG
 //! * [`fitness_rtl`] — the combinational three-rule fitness network
@@ -46,6 +48,7 @@
 pub mod bitslice;
 pub mod bitstream;
 pub mod control;
+pub mod driver;
 pub mod fitness_rtl;
 pub mod gap_rtl;
 pub mod netlist;

@@ -10,11 +10,10 @@
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::Genome;
 use evo::stats::Summary;
-use leonardo_bench::harness::EvolvedTrial;
-use leonardo_bench::ProblemTrial;
 use leonardo_faults::campaign::CampaignReport;
 use leonardo_faults::model::FaultModel;
-use leonardo_problems::{problem_registry, ProblemSpec};
+use leonardo_problems::{problem_registry, MoCampaign, ProblemSpec, ProblemTrial};
+use leonardo_rtl::driver::EvolvedTrial;
 use leonardo_telemetry::json::Json;
 
 /// Machine-readable error codes, one per failure class (documented in
@@ -466,10 +465,7 @@ pub fn evolve_response(engine: &str, req: &EvolveRequest, trials: &[EvolvedTrial
 /// Render the `POST /evolve` response body in `objectives` mode. A pure
 /// function of `(req, campaigns)`; the campaigns themselves are
 /// bit-identical at any thread count, so the body is too.
-pub fn evolve_objectives_response(
-    req: &EvolveRequest,
-    campaigns: &[leonardo_bench::MoCampaign],
-) -> String {
+pub fn evolve_objectives_response(req: &EvolveRequest, campaigns: &[MoCampaign]) -> String {
     let names: Vec<Json> = leonardo_walker::objectives::objective_registry()
         .iter()
         .map(|s| Json::Str(s.name.to_string()))
@@ -844,7 +840,7 @@ mod tests {
             .unwrap();
         let spec = ProblemSpec::find("serial_adder").unwrap();
         let trials =
-            leonardo_bench::problem_campaigns::<u64>(spec, &[4096], req.max_generations, 1);
+            leonardo_problems::problem_campaigns::<u64>(spec, &[4096], req.max_generations, 1);
         let a = evolve_problem_response(spec, &req, &trials);
         let b = evolve_problem_response(spec, &req, &trials);
         assert_eq!(a, b);
@@ -867,8 +863,8 @@ mod tests {
             LIMITS,
         )
         .unwrap();
-        let problem = leonardo_bench::GaitMoProblem::flat_only();
-        let campaigns = leonardo_bench::nsga2_campaigns(&problem, &[17], 2, 8, 1);
+        let problem = leonardo_problems::GaitMoProblem::flat_only();
+        let campaigns = leonardo_problems::nsga2_campaigns(&problem, &[17], 2, 8, 1);
         let a = evolve_objectives_response(&req, &campaigns);
         let b = evolve_objectives_response(&req, &campaigns);
         assert_eq!(a, b);

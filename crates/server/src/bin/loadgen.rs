@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 
 use evo::stats::Summary;
-use leonardo_bench::harness::arg_or;
+use leonardo_exec::arg_or;
 use leonardo_telemetry::json::Json;
 use leonardo_telemetry::RunManifest;
 use std::io::{BufRead, BufReader, Read, Write};

@@ -10,12 +10,11 @@ use crate::http::Request;
 use crate::routes::route_specs;
 use crate::server::AppState;
 use discipulus::fitness::FitnessSpec;
-use leonardo_bench::harness::{engine_label, rtl_evolve_batch_w, EvolvedTrial};
-use leonardo_bench::problem_campaigns;
 use leonardo_faults::campaign::Campaign;
 use leonardo_landscape::FULL_SWEEP_MAX_SET;
-use leonardo_problems::ProblemSpec;
+use leonardo_problems::{nsga2_campaigns, problem_campaigns, GaitMoProblem, ProblemSpec};
 use leonardo_rtl::bitslice::{W128, W256, W512};
+use leonardo_rtl::driver::{engine_label, rtl_evolve_batch_w, EvolvedTrial};
 use leonardo_telemetry::json::Json;
 use leonardo_telemetry::MANIFEST_SCHEMA_VERSION;
 use std::sync::atomic::Ordering;
@@ -73,9 +72,9 @@ fn evolve(state: &AppState, request: &Request) -> Result<String, ApiError> {
         // the same campaign driver e16_pareto runs — per-seed campaigns
         // are pure functions of their seeds, so served bytes equal a
         // local run's at any thread count
-        let problem = leonardo_bench::GaitMoProblem::standard();
+        let problem = GaitMoProblem::standard();
         let seeds: Vec<u64> = req.seeds.iter().map(|&s| u64::from(s)).collect();
-        let campaigns = leonardo_bench::nsga2_campaigns(
+        let campaigns = nsga2_campaigns(
             &problem,
             &seeds,
             req.max_generations,

@@ -1,8 +1,8 @@
 //! # leonardo-server — evolution as a service
 //!
 //! The repo's batch engines answer three kinds of question: *evolve*
-//! (seeded GA runs on the bit-sliced [`GapRtlXW`] engines, via the bench
-//! harness's lane-refill driver), *landscape* (exact oracle queries over
+//! (seeded GA runs on the bit-sliced [`GapRtlXW`] engines, via the RTL
+//! crate's lane-refill driver), *landscape* (exact oracle queries over
 //! the 2³⁶ fitness landscape, answered in closed form), and *campaign*
 //! (seeded fault-injection runs through the differential recovery
 //! oracle). This
@@ -17,10 +17,10 @@
 //! is a pure function of its request. Same request ⇒ byte-identical
 //! response body, for any server thread count and any engine width —
 //! because the handlers reuse the exact deterministic drivers the CLI
-//! experiments run ([`leonardo_bench::harness::rtl_evolve_batch_w`], the
+//! experiments run ([`leonardo_rtl::driver::rtl_evolve_batch_w`], the
 //! landscape crate's closed form, [`Campaign`]), and bodies render
 //! through the telemetry [`Json`](leonardo_telemetry::json::Json) tree
-//! with insertion-ordered keys. A served `/evolve` is bit-identical to a direct harness call —
+//! with insertion-ordered keys. A served `/evolve` is bit-identical to a direct driver call —
 //! pinned by integration tests and golden files.
 //!
 //! Module map: [`http`] (the wire protocol), [`routes`] (the registry

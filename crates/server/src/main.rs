@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use leonardo_bench::harness::arg_or;
+use leonardo_exec::arg_or;
 use leonardo_server::ServerConfig;
 use leonardo_telemetry as tele;
 use std::sync::Arc;

@@ -208,7 +208,7 @@ fn evolve_bytes_are_identical_across_widths_and_threads() {
 
 #[test]
 fn served_evolve_equals_a_direct_harness_call() {
-    use leonardo_bench::harness::rtl_evolve_batch_w;
+    use leonardo_rtl::driver::rtl_evolve_batch_w;
     let server = start_server();
     let (status, served) = request(&server, "POST", "/evolve", EVOLVE_BODY);
     assert_eq!(status, 200);
@@ -244,8 +244,8 @@ fn evolve_objectives_mode_serves_deterministic_fronts() {
     assert_eq!(status, 200);
     assert_eq!(served, again, "objectives bytes vary with thread count");
     // and the served bytes equal a direct campaign call
-    let problem = leonardo_bench::GaitMoProblem::standard();
-    let campaigns = leonardo_bench::nsga2_campaigns(&problem, &[23], 2, 8, 1);
+    let problem = leonardo_problems::GaitMoProblem::standard();
+    let campaigns = leonardo_problems::nsga2_campaigns(&problem, &[23], 2, 8, 1);
     let req = leonardo_server::api::EvolveRequest {
         seeds: vec![23],
         max_generations: 2,
@@ -276,7 +276,7 @@ fn evolve_problem_mode_serves_registry_campaigns() {
     assert_eq!(served, again, "problem bytes vary with width or threads");
     // and the served bytes equal a direct campaign call
     let spec = leonardo_problems::ProblemSpec::find("fsm_traces").unwrap();
-    let trials = leonardo_bench::problem_campaigns::<u64>(spec, &[4096], 200, 1);
+    let trials = leonardo_problems::problem_campaigns::<u64>(spec, &[4096], 200, 1);
     let req = leonardo_server::api::EvolveRequest {
         seeds: vec![4096],
         max_generations: 200,

@@ -13,12 +13,12 @@
 //! lint keep this suite and `plane_registry()` in lockstep.
 
 use discipulus::params::GapParams;
-use leonardo_bench::harness::rtl_convergence_batch_w;
 use leonardo_faults::{Campaign, FaultModel};
 use leonardo_rtl::bitslice::{
     plane_registry, GapRtlX64, GapRtlX64Config, GapRtlXW, GapRtlXWConfig, Plane, LANES, W128, W256,
     W512,
 };
+use leonardo_rtl::driver::rtl_convergence_batch_w;
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_rtl::rng_rtl::CaRngRtl;
 

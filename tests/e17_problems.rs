@@ -13,8 +13,8 @@
 //! recorded fsm_traces campaign must keep reaching full trace agreement
 //! on at least 3 of the 4 seeds (the E17 acceptance floor).
 
-use leonardo_bench::{problem_campaigns, problem_table, trial_seeds};
-use leonardo_problems::{problem_registry, subspace_sweep};
+use leonardo_bench::{problem_table, trial_seeds};
+use leonardo_problems::{problem_campaigns, problem_registry, subspace_sweep};
 use leonardo_rtl::bitslice::{W256, W512};
 use std::fmt::Write as _;
 

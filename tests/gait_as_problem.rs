@@ -12,8 +12,8 @@
 
 use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
-use leonardo_bench::{problem_campaigns, problem_row, GaitRuleProblem};
-use leonardo_problems::{GaitProblem, ProblemSpec};
+use leonardo_bench::{problem_row, GaitRuleProblem};
+use leonardo_problems::{problem_campaigns, GaitProblem, ProblemSpec, ProblemTrial};
 use leonardo_rtl::bitslice::W256;
 use leonardo_telemetry::json::Json;
 use leonardo_telemetry::RunManifest;
@@ -87,7 +87,7 @@ fn gait_campaigns_are_width_and_thread_unobservable() {
 fn manifest_problem_rows_are_identical_across_configurations() {
     let spec = ProblemSpec::find("gait").expect("registered");
     let seeds = [0x1015u64];
-    let rows_of = |trials: &[leonardo_bench::ProblemTrial]| -> Vec<Json> {
+    let rows_of = |trials: &[ProblemTrial]| -> Vec<Json> {
         trials.iter().map(|t| problem_row(spec, t)).collect()
     };
     let narrow = rows_of(&problem_campaigns::<u64>(spec, &seeds, 200, 1));

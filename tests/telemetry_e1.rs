@@ -15,9 +15,10 @@
 //!   `fault.recovery` events when the session runs a fault campaign.
 
 use discipulus::params::GapParams;
-use leonardo_bench::harness::{convergence_sample, rtl_convergence_batch, trial_seeds};
+use leonardo_bench::harness::{convergence_sample, trial_seeds};
 use leonardo_bench::{trial_stats, ExperimentSession};
 use leonardo_faults::{Campaign, FaultModel};
+use leonardo_rtl::driver::rtl_convergence_batch_w;
 use leonardo_telemetry as tele;
 use leonardo_telemetry::json::Json;
 use leonardo_telemetry::RunManifest;
@@ -49,7 +50,7 @@ fn e1_stream_manifest_and_recomputed_mean() {
     // the instrumented harness publishes one bench.trial event per seed
     // on each engine; keep the locally returned stats for cross-checking
     let local = convergence_sample(GapParams::paper(), &seeds, MAX_GENS);
-    let rtl = rtl_convergence_batch(&seeds, MAX_GENS);
+    let rtl = rtl_convergence_batch_w::<u64>(&seeds, MAX_GENS, 0);
 
     // telemetry-derived statistics must equal the locally computed ones
     let from_stream = trial_stats(session.aggregator(), "behavioural");

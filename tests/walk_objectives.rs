@@ -16,7 +16,8 @@
 
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::Genome;
-use leonardo_bench::{max_set_walk_table, nsga2_campaigns, GaitMoProblem, WalkTableRow};
+use leonardo_bench::{max_set_walk_table, WalkTableRow};
+use leonardo_problems::{nsga2_campaigns, GaitMoProblem};
 use leonardo_walker::objectives::{objective_registry, WalkObjectives};
 use std::fmt::Write as _;
 
