@@ -66,7 +66,7 @@ pub fn check_injectable_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leonardo_rtl::bitslice::{GapRtlX64, GapRtlX64Config};
+    use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig};
     use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
     use leonardo_rtl::netlist::Describe;
 
@@ -76,7 +76,7 @@ mod tests {
         let scalar = GapRtl::new(GapRtlConfig::paper(1)).netlist();
         assert_eq!(check_injectable_nodes(&scalar, 1, &params), vec![]);
         let seeds: Vec<u32> = (0..64).collect();
-        let batch = GapRtlX64::new(GapRtlX64Config::paper(), &seeds).netlist();
+        let batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds).netlist();
         assert_eq!(check_injectable_nodes(&batch, 64, &params), vec![]);
     }
 

@@ -209,12 +209,9 @@ pub fn bad_problem() -> leonardo_problems::ProblemSpec {
         width: 16,
         max_fitness: 64,
         make: || Box::new(FlickerProblem),
-        // kernels are never exercised: the broken probe below keeps the
-        // checker on the scalar path, so any registered kernel works
-        kernel_u64: || Box::new(leonardo_problems::GaitKernel::paper()),
-        kernel_w128: || Box::new(leonardo_problems::GaitKernel::paper()),
-        kernel_w256: || Box::new(leonardo_problems::GaitKernel::paper()),
-        kernel_w512: || Box::new(leonardo_problems::GaitKernel::paper()),
+        // the kernel is never exercised: the broken probe below keeps the
+        // checker on the scalar path, so any kernel family works
+        kernel: || leonardo_problems::KernelFamily::Gait,
         probe: || Ok(()),
     }
 }

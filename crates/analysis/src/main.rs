@@ -35,7 +35,7 @@ use analysis::{
 };
 use discipulus::genome::Genome;
 use discipulus::params::GapParams;
-use leonardo_rtl::bitslice::{CaRngX64, FitnessUnitX64, GapRtlX64, GapRtlX64Config, RamX64};
+use leonardo_rtl::bitslice::{CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig, RamXW};
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 use leonardo_rtl::netlist::Describe;
 use leonardo_rtl::top::DiscipulusTop;
@@ -85,11 +85,11 @@ fn run_check(seed: u32, json: bool) -> ExitCode {
     // the 64-lane batch engine is a host-side simulation accelerator, not
     // part of the single-chip CLB budget, so its units lint standalone
     say("== batch-engine units (64-lane bit-sliced) ==");
-    let batch = GapRtlX64::new(GapRtlX64Config::paper(), &[seed]);
+    let batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &[seed]);
     for n in [
-        CaRngX64::new(&[seed]).netlist(),
-        FitnessUnitX64::paper().netlist(),
-        RamX64::new(32, 36).netlist(),
+        CaRngXW::<u64>::new(&[seed]).netlist(),
+        FitnessUnitXW::<u64>::paper().netlist(),
+        RamXW::<u64>::new(32, 36).netlist(),
         batch.netlist(),
     ] {
         say(&format!("   {}: lint_unit", n.unit));

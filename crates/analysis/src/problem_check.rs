@@ -2,8 +2,8 @@
 //!
 //! `leonardo-problems` ships a registry of evolvable problems
 //! ([`leonardo_problems::problem_registry`]); every entry names its
-//! genome width, its maximum fitness, a scalar constructor, one kernel
-//! per plane width, and a self-check probe. This checker is the gate
+//! genome width, its maximum fitness, a scalar constructor, a kernel
+//! family that builds at any plane width, and a self-check probe. This checker is the gate
 //! side of the `EvolvableProblem` contract: every registered problem
 //! must have a sane shape, an instance that agrees with its registered
 //! shape, fitness that is deterministic and bounded, a passing probe

@@ -10,9 +10,9 @@
 //!   functions agree on every one of the 2³⁶ genomes (or 2³² RNG
 //!   states); SAT yields a concrete, replayable counterexample. The
 //!   chain proven: behavioural gate spec ([`discipulus::gates`]) ↔ RTL
-//!   [`FitnessUnit`] ↔ one lane of the sliced [`FitnessUnitX64`] ↔ the
+//!   [`FitnessUnit`] ↔ one lane of the sliced [`FitnessUnitXW`] ↔ the
 //!   landscape sweep's per-genome function ([`BlockKernel`]), plus the
-//!   scalar [`CaRngRtl`] step ↔ one lane of [`CaRngX64`]. Two more
+//!   scalar [`CaRngRtl`] step ↔ one lane of [`CaRngXW`]. Two more
 //!   miters prove what the landscape's closed form relies on: the score
 //!   splits by body side (`F(a ∨ b) + F(0) = F(a) + F(b)` for left-only
 //!   `a`, right-only `b`) and the leg mirror keeps it.
@@ -43,7 +43,7 @@ use discipulus::fitness::FitnessSpec;
 use discipulus::gates::{fitness_score_gates, GENOME_BITS};
 use discipulus::genome::{Genome, LegId, Side, BITS_PER_LEG, NUM_LEGS};
 use leonardo_landscape::BlockKernel;
-use leonardo_rtl::bitslice::{CaRngX64, FitnessUnitX64};
+use leonardo_rtl::bitslice::{CaRngXW, FitnessUnitXW};
 use leonardo_rtl::control::{CtrlState, GapControlFsm, CTRL_STATES};
 use leonardo_rtl::fitness_rtl::FitnessUnit;
 use leonardo_rtl::primitives::{ModCounter, Ram, ShiftReg};
@@ -358,7 +358,7 @@ pub fn miter_fitness_unit(unit: &FitnessUnit) -> SymbolicReport {
 }
 
 /// Miter the scalar RTL fitness unit against one extracted lane of the
-/// bit-sliced [`FitnessUnitX64`] and against the landscape sweep's
+/// bit-sliced [`FitnessUnitXW`] and against the landscape sweep's
 /// [`BlockKernel`] per-genome function, for every genome. (One lane
 /// suffices: every sliced word operation is bitwise, so lane `l` of the
 /// 64-lane network is the same gate function for every `l` — the lane
@@ -375,7 +375,7 @@ pub fn check_fitness_lane_equivalence(spec: FitnessSpec) -> SymbolicReport {
         .collect();
     let scalar = instantiate_comb(&mut solver, &unit_sc, &[("genome", &genome)]);
     let scalar_out = scalar.word(unit_sc.find_output("fitness").expect("fitness"));
-    let lane_sc = FitnessUnitX64::new(spec).semantics();
+    let lane_sc = FitnessUnitXW::<u64>::new(spec).semantics();
     let lane = instantiate_comb(&mut solver, &lane_sc, &[("genome", &genome)]);
     let lane_out = lane.word(lane_sc.find_output("fitness").expect("fitness"));
     assert_words_differ(&mut solver, &scalar_out, &lane_out);
@@ -574,7 +574,7 @@ pub fn check_rng_lane_equivalence(seed: u32) -> SymbolicReport {
     let mut report = SymbolicReport::default();
     let started = Instant::now();
     let scalar_sc = CaRngRtl::new(seed).semantics();
-    let lane_sc = CaRngX64::new(&[seed]).semantics();
+    let lane_sc = CaRngXW::<u64>::new(&[seed]).semantics();
 
     let mut solver = Solver::new();
     let mut cex = if scalar_sc.initial_state() == lane_sc.initial_state() {

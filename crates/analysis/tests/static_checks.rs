@@ -19,7 +19,7 @@ fn real_design_lints_clean() {
 
 #[test]
 fn every_unit_netlist_lints_clean_standalone() {
-    use leonardo_rtl::bitslice::{CaRngX64, FitnessUnitX64, GapRtlX64, GapRtlX64Config, RamX64};
+    use leonardo_rtl::bitslice::{CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig, RamXW};
     use leonardo_rtl::bitstream::ConfigLoader;
     use leonardo_rtl::fitness_rtl::FitnessUnit;
     use leonardo_rtl::primitives::{ModCounter, Ram, ShiftReg};
@@ -36,10 +36,10 @@ fn every_unit_netlist_lints_clean_standalone() {
         ServoBank::new().netlist(),
         // the 64-lane batch engine's units (outside the single-chip
         // budget, hence linted standalone rather than packed)
-        CaRngX64::new(&[1]).netlist(),
-        FitnessUnitX64::paper().netlist(),
-        RamX64::new(32, 36).netlist(),
-        GapRtlX64::new(GapRtlX64Config::paper(), &[1]).netlist(),
+        CaRngXW::<u64>::new(&[1]).netlist(),
+        FitnessUnitXW::<u64>::paper().netlist(),
+        RamXW::<u64>::new(32, 36).netlist(),
+        GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &[1]).netlist(),
     ];
     for n in netlists {
         let findings = lint::lint_unit(&n);

@@ -21,7 +21,7 @@ use evo::rng::SmallRng;
 use leonardo_bench::harness::{parallel_map, trial_seeds};
 use leonardo_bench::ExperimentSession;
 use leonardo_exec::arg_or;
-use leonardo_rtl::bitslice::CaRngX64;
+use leonardo_rtl::bitslice::CaRngXW;
 use leonardo_rtl::rng_rtl::CaRngRtl;
 use leonardo_telemetry as tele;
 use leonardo_telemetry::sink::Aggregator;
@@ -113,7 +113,7 @@ fn main() {
         black_box(scalar_ca.word());
     }
     let scalar_rate = STEPS as f64 / t0.elapsed().as_secs_f64();
-    let mut sliced_ca = CaRngX64::new(&trial_seeds(64));
+    let mut sliced_ca = CaRngXW::<u64>::new(&trial_seeds(64));
     let t0 = Instant::now();
     for _ in 0..STEPS {
         sliced_ca.clock_free();
@@ -126,7 +126,7 @@ fn main() {
         scalar_rate / 1e6
     );
     println!(
-        "    CaRngX64 (64 lanes)  : {:>8.1} Mwords/s  ({:.1}x)\n",
+        "    sliced CaRngXW<u64>  : {:>8.1} Mwords/s  ({:.1}x)\n",
         sliced_rate / 1e6,
         sliced_rate / scalar_rate
     );

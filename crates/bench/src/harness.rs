@@ -67,20 +67,6 @@ pub fn convergence_sample(
     }
 }
 
-/// Summarize RTL trials the same way [`convergence_sample`] does.
-pub fn rtl_stats(trials: &[RtlTrial]) -> ConvergenceStats {
-    let generations: Vec<f64> = trials
-        .iter()
-        .filter(|t| t.converged)
-        .map(|t| t.generations as f64)
-        .collect();
-    ConvergenceStats {
-        summary: SampleSummary::of(&generations),
-        failures: trials.iter().filter(|t| !t.converged).count(),
-        generations,
-    }
-}
-
 /// Map `f` over `items` on `threads` workers, preserving input order.
 /// Results are independent of thread scheduling. `threads` of 0 means
 /// one per available core.
@@ -129,33 +115,6 @@ mod tests {
         assert_eq!(sum.n, 8);
         assert!(sum.mean > 10.0, "convergence cannot be instant");
         assert!(sum.mean < 50_000.0);
-    }
-
-    #[test]
-    fn rtl_stats_splits_converged_from_failures() {
-        let trials = [
-            RtlTrial {
-                converged: true,
-                generations: 100,
-                cycles: 1,
-            },
-            RtlTrial {
-                converged: false,
-                generations: 700,
-                cycles: 2,
-            },
-            RtlTrial {
-                converged: true,
-                generations: 300,
-                cycles: 3,
-            },
-        ];
-        let stats = rtl_stats(&trials);
-        assert_eq!(stats.failures, 1);
-        assert_eq!(stats.generations, vec![100.0, 300.0]);
-        let sum = stats.summary.expect("summary");
-        assert_eq!(sum.n, 2);
-        assert!((sum.mean - 200.0).abs() < 1e-9);
     }
 
     #[test]

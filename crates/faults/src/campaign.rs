@@ -282,10 +282,10 @@ impl Campaign {
     /// faulted engine and its fault-free twin from `seeds` and calls
     /// [`Campaign::run`].
     pub fn run_x64(&self, seeds: &[u32]) -> CampaignReport {
-        use leonardo_rtl::bitslice::{GapRtlX64, GapRtlX64Config};
+        use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig};
         self.run(
-            GapRtlX64::new(GapRtlX64Config::paper(), seeds),
-            GapRtlX64::new(GapRtlX64Config::paper(), seeds),
+            GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), seeds),
+            GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), seeds),
             seeds,
         )
     }

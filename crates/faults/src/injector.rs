@@ -1,7 +1,7 @@
 //! The [`Injector`] trait: one fault-injection surface over both RTL
 //! engines.
 //!
-//! A campaign never talks to `GapRtl` or `GapRtlX64` directly — it talks
+//! A campaign never talks to `GapRtl` or `GapRtlXW` directly — it talks
 //! to an `Injector`, which exposes the three storage domains of
 //! [`FaultModel`] as addressable bits plus the minimal stepping and
 //! observation surface a driver needs. Both engines implement it (the
@@ -18,7 +18,7 @@
 use crate::model::{AppliedFault, Fault, FaultModel};
 use discipulus::genome::Genome;
 use discipulus::params::GapParams;
-use leonardo_rtl::bitslice::{GapRtlX64, LaneMask};
+use leonardo_rtl::bitslice::{GapRtlXW, LaneMask};
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 
 /// A multi-lane GAP engine that supports deterministic fault injection.
@@ -159,7 +159,7 @@ impl Injector for GapRtl {
     }
 }
 
-impl Injector for GapRtlX64 {
+impl Injector for GapRtlXW<u64> {
     fn lane_count(&self) -> usize {
         self.enabled().count_ones() as usize
     }
@@ -195,23 +195,23 @@ impl Injector for GapRtlX64 {
     }
 
     fn running_mask(&self, max_generations: u64) -> LaneMask {
-        GapRtlX64::running_mask(self, max_generations)
+        GapRtlXW::running_mask(self, max_generations)
     }
 
     fn converged(&self, lane: usize) -> bool {
-        GapRtlX64::converged(self, lane)
+        GapRtlXW::converged(self, lane)
     }
 
     fn generation(&self, lane: usize) -> u64 {
-        GapRtlX64::generation(self, lane)
+        GapRtlXW::generation(self, lane)
     }
 
     fn cycles(&self, lane: usize) -> u64 {
-        GapRtlX64::cycles(self, lane)
+        GapRtlXW::cycles(self, lane)
     }
 
     fn best(&self, lane: usize) -> (Genome, u32) {
-        GapRtlX64::best(self, lane)
+        GapRtlXW::best(self, lane)
     }
 }
 
@@ -309,7 +309,7 @@ impl Injector for ScalarBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leonardo_rtl::bitslice::GapRtlX64Config;
+    use leonardo_rtl::bitslice::GapRtlXWConfig;
 
     #[test]
     fn inject_is_a_flip_and_stuck_at_is_a_force() {
@@ -339,7 +339,7 @@ mod tests {
     fn scalar_bank_lanes_match_x64_lanes_bit_for_bit() {
         let seeds = [0x1000u32, 0x1007, 0x100E];
         let mut bank = ScalarBank::new(&seeds);
-        let mut x64 = GapRtlX64::new(GapRtlX64Config::paper(), &seeds);
+        let mut x64 = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
         for model in FaultModel::ALL {
             let bits = model.domain_bits(bank.params());
             for pos in [0usize, 1, bits as usize - 1] {

@@ -13,8 +13,8 @@
 //!   engine netlists).
 //! * [`Injector`] — *where* it breaks: one trait implemented by the
 //!   scalar [`leonardo_rtl::gap_rtl::GapRtl`] (via [`ScalarBank`]) and
-//!   the 64-lane [`leonardo_rtl::bitslice::GapRtlX64`], so every
-//!   campaign runs bit-exactly on either engine.
+//!   the 64-lane [`GapRtlXW<u64>`](leonardo_rtl::bitslice::GapRtlXW), so
+//!   every campaign runs bit-exactly on either engine.
 //! * [`Campaign`] — *how often* and *what happened*: a seeded sweep
 //!   driver with per-lane CA fault streams ([`FaultRng`], which fixes
 //!   the old `% 1152` modulo bias by mask-and-reject sampling), lane

@@ -3,10 +3,10 @@
 //! Each [`FaultModel`] names one architecturally stored bit domain of the
 //! GAP — a domain that exists, with the same per-lane addressing, on both
 //! the scalar [`leonardo_rtl::gap_rtl::GapRtl`] and the 64-lane
-//! [`leonardo_rtl::bitslice::GapRtlX64`] — plus the netlist node the
-//! domain occupies (resolved through the `Describe` trait, and linted by
-//! the `analysis` gate so a campaign can never name a node the design
-//! does not have).
+//! [`GapRtlXW<u64>`](leonardo_rtl::bitslice::GapRtlXW) — plus the netlist
+//! node the domain occupies (resolved through the `Describe` trait, and
+//! linted by the `analysis` gate so a campaign can never name a node the
+//! design does not have).
 
 use discipulus::params::GapParams;
 

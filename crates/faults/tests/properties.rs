@@ -15,7 +15,7 @@
 //!   driver loop.
 
 use leonardo_faults::{Campaign, FaultModel, Injector, ScalarBank};
-use leonardo_rtl::bitslice::{GapRtlX64, GapRtlX64Config};
+use leonardo_rtl::bitslice::{GapRtlXW, GapRtlXWConfig};
 use proptest::prelude::*;
 
 /// Snapshot every bit the fault ports can address on one lane, plus the
@@ -89,8 +89,8 @@ proptest! {
     ) {
         let model = FaultModel::ALL[model_idx];
         let seeds: Vec<u32> = (0..4).map(|i| base_seed.wrapping_add(7 * i)).collect();
-        let mut touched = GapRtlX64::new(GapRtlX64Config::paper(), &seeds);
-        let mut twin = GapRtlX64::new(GapRtlX64Config::paper(), &seeds);
+        let mut touched = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
+        let mut twin = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
         touched.step_lanes(0b1111);
         twin.step_lanes(0b1111);
         let pos = (raw_pos % model.domain_bits(touched.params())) as usize;
@@ -127,23 +127,23 @@ fn rate_zero_campaign_is_bit_exact_with_plain_driver() {
     report.verify().expect("oracle");
 
     // the reference: the repo's ordinary batch-driver loop
-    let mut plain = GapRtlX64::new(GapRtlX64Config::paper(), &seeds);
+    let mut plain = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
     let mut traces: Vec<Vec<u32>> = vec![Vec::new(); seeds.len()];
     loop {
-        let running = GapRtlX64::running_mask(&plain, MAX_GENS);
+        let running = GapRtlXW::running_mask(&plain, MAX_GENS);
         if running == 0 {
             break;
         }
         plain.step_generation_masked(running);
         for (l, trace) in traces.iter_mut().enumerate() {
-            trace.push(GapRtlX64::best(&plain, l).1);
+            trace.push(GapRtlXW::best(&plain, l).1);
         }
     }
 
     assert_eq!(report.traces.as_ref(), Some(&traces));
     for (l, lane) in report.lanes.iter().enumerate() {
-        assert_eq!(lane.generations, GapRtlX64::generation(&plain, l));
-        assert_eq!(lane.cycles, GapRtlX64::cycles(&plain, l));
+        assert_eq!(lane.generations, GapRtlXW::generation(&plain, l));
+        assert_eq!(lane.cycles, GapRtlXW::cycles(&plain, l));
         assert_eq!(lane.injected, 0);
         assert_eq!(lane.cost_delta, Some(0));
     }

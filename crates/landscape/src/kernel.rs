@@ -22,7 +22,7 @@
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{GENOME_BITS, GENOME_MASK};
 use leonardo_rtl::bitslice::{
-    consecutive_genome_planes_w, lane_score_lits, FitnessUnitXW, Plane, LANES, LANE_BITS,
+    consecutive_genome_planes, lane_score_lits, FitnessUnitXW, Plane, LANES, LANE_BITS,
     LANE_INDEX_PLANES, SCORE_PLANES, W512,
 };
 use leonardo_rtl::semantics::{Lit, Semantics, SeqCircuit};
@@ -115,7 +115,7 @@ impl<P: Plane> BlockKernelW<P> {
         assert!(block < Self::BLOCKS, "block index exceeds the 2^36 space");
         let base = block * Self::GENOMES_PER_BLOCK;
         if self.base == u64::MAX {
-            self.planes = consecutive_genome_planes_w(base);
+            self.planes = consecutive_genome_planes(base);
         } else {
             // rewrite only the planes whose genome bit flipped: for a
             // one-block step that is the trailing-carry run above the lane

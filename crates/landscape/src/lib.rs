@@ -18,7 +18,7 @@
 //! * [`kernel`] — the block kernel: `P::LANES` consecutive genomes share
 //!   every bit above the lane field, so a block's transposed form is
 //!   fixed lane-index planes plus broadcast words
-//!   ([`leonardo_rtl::bitslice::consecutive_genome_planes_w`]), fed
+//!   ([`leonardo_rtl::bitslice::consecutive_genome_planes`]), fed
 //!   through [`leonardo_rtl::bitslice::FitnessUnitXW`]'s carry-save score
 //!   planes — no transpose, no per-genome work at all — plus [`Tally`],
 //!   the one fold of those planes into a histogram and max-set sample
@@ -40,7 +40,7 @@
 //!
 //! The differential conformance suite in `tests/` pins the 64-lane and
 //! the wide sweep kernel lane-by-lane to the scalar `discipulus` fitness
-//! function, the RTL `FitnessUnit` and the batch `FitnessUnitX64`,
+//! function, the RTL `FitnessUnit` and the batch `FitnessUnitXW<u64>`,
 //! making the sweep the repo's ground-truth oracle for every
 //! fitness-touching change. See `docs/LANDSCAPE.md`.
 

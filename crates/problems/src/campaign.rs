@@ -10,9 +10,10 @@
 //! scalar-vs-kernel equality the conformance suite pins, enforced once
 //! more on the genomes evolution actually finds.
 
-use crate::{KernelPlane, ProblemSpec};
+use crate::ProblemSpec;
 use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
+use leonardo_rtl::bitslice::Plane;
 use leonardo_telemetry as tele;
 
 /// The outcome of one seeded GA run against a registered problem.
@@ -73,7 +74,7 @@ pub fn problem_campaign(
 /// # Panics
 /// Panics if the kernel scores a winner differently from the scalar path
 /// — that is a kernel bug the conformance suite should have caught.
-pub fn problem_campaigns<P: KernelPlane>(
+pub fn problem_campaigns<P: Plane>(
     spec: &'static ProblemSpec,
     seeds: &[u64],
     max_generations: u64,

@@ -32,6 +32,26 @@ pub trait ProblemKernel<P: Plane>: Send {
     fn score_batch(&mut self, genomes: &[u64]) -> Vec<u32>;
 }
 
+/// A registered problem's kernel family, independent of the plane width:
+/// [`Self::build`] makes its kernel at any [`Plane`].
+#[derive(Debug, Clone)]
+pub enum KernelFamily {
+    /// The rtl crate's sliced gait network ([`GaitKernel`]).
+    Gait,
+    /// The trace replay of one Mealy problem ([`MealyKernel`]).
+    Mealy(MealyProblem),
+}
+
+impl KernelFamily {
+    /// The family's kernel at plane width `P`.
+    pub fn build<P: Plane>(self) -> Box<dyn ProblemKernel<P>> {
+        match self {
+            KernelFamily::Gait => Box::new(GaitKernel::paper()),
+            KernelFamily::Mealy(problem) => Box::new(MealyKernel::new(problem)),
+        }
+    }
+}
+
 /// The gait problem's kernel: the rtl bit-sliced fitness network.
 #[derive(Debug, Clone)]
 pub struct GaitKernel<P: Plane> {

@@ -19,12 +19,13 @@
 //!   recovered from traces alone, and the textbook serial adder
 //!   (GA-designed sequential logic, Soleimani et al., arXiv:1110.1038).
 //!
-//! Each registry entry carries a [`kernel::ProblemKernel`] constructor
-//! per plane width (`u64` through `W512`), pinned lane-by-lane to the
-//! scalar fitness by the cross-problem conformance suite and by the
-//! analysis gate's `check_problems` lint, and a [`sweep::subspace_sweep`]
-//! drives any kernel over a sharded genome subspace with bit-identical
-//! results at every width, shard count and thread count.
+//! Each registry entry carries a [`kernel::KernelFamily`] that builds its
+//! [`kernel::ProblemKernel`] at any plane width (`u64` through `W512`),
+//! pinned lane-by-lane to the scalar fitness by the cross-problem
+//! conformance suite and by the analysis gate's `check_problems` lint,
+//! and a [`sweep::subspace_sweep`] drives any kernel over a sharded genome
+//! subspace with bit-identical results at every width, shard count and
+//! thread count.
 //!
 //! Two campaign drivers run evolution over the catalog:
 //! [`campaign::problem_campaigns`] (seeded GA runs against any registry
@@ -44,8 +45,8 @@ pub mod sweep;
 
 pub use campaign::{problem_campaign, problem_campaigns, ProblemTrial};
 pub use gait::GaitProblem;
-pub use kernel::{GaitKernel, MealyKernel, ProblemKernel};
+pub use kernel::{GaitKernel, KernelFamily, MealyKernel, ProblemKernel};
 pub use mealy::{MealyMachine, MealyProblem, Trace};
 pub use mo_campaign::{nsga2_campaign, nsga2_campaigns, GaitMoProblem, MoCampaign, MoFrontRow};
-pub use registry::{problem_registry, KernelPlane, ProblemSpec};
+pub use registry::{problem_registry, ProblemSpec};
 pub use sweep::{subspace_sweep, SweepSummary};

@@ -1,5 +1,5 @@
 //! The problem registry: every evolvable problem this workspace ships,
-//! with per-width kernel constructors and a self-check probe.
+//! with its batch-kernel family and a self-check probe.
 //!
 //! Mirrors the rtl crate's `plane_registry` pattern: a static table the
 //! analysis gate lints (`check_problems`) — shape sanity, probes, and
@@ -9,17 +9,17 @@
 //! the experiment binaries iterate it.
 
 use crate::gait::GaitProblem;
-use crate::kernel::{GaitKernel, MealyKernel, ProblemKernel};
+use crate::kernel::{KernelFamily, ProblemKernel};
 use crate::mealy::MealyProblem;
 use core::fmt::Debug;
 use evo::evolvable::EvolvableProblem;
-use leonardo_rtl::bitslice::{Plane, W128, W256, W512};
+use leonardo_rtl::bitslice::{Plane, W256};
 
 /// A boxed problem instance as the registry hands it out.
 pub type BoxedProblem = Box<dyn EvolvableProblem + Send + Sync>;
 
 /// One registered problem: identity, shape, constructors for the scalar
-/// instance and each plane width's kernel, and the gate probe.
+/// instance and the batch-kernel family, and the gate probe.
 #[derive(Clone, Copy)]
 pub struct ProblemSpec {
     /// Stable identifier (`"gait"`, `"fsm_traces"`, `"serial_adder"`).
@@ -32,14 +32,9 @@ pub struct ProblemSpec {
     pub max_fitness: u32,
     /// Construct the scalar problem instance.
     pub make: fn() -> BoxedProblem,
-    /// Construct the 64-lane kernel.
-    pub kernel_u64: fn() -> Box<dyn ProblemKernel<u64>>,
-    /// Construct the 128-lane kernel.
-    pub kernel_w128: fn() -> Box<dyn ProblemKernel<W128>>,
-    /// Construct the 256-lane kernel.
-    pub kernel_w256: fn() -> Box<dyn ProblemKernel<W256>>,
-    /// Construct the 512-lane kernel.
-    pub kernel_w512: fn() -> Box<dyn ProblemKernel<W512>>,
+    /// Construct the batch-kernel family; [`ProblemSpec::kernel`] builds
+    /// it at any plane width.
+    pub kernel: fn() -> KernelFamily,
     /// Self-check: shape consistency, fitness determinism and bounds,
     /// known-optimum maximality, decode/encode round-trips, and
     /// kernel-vs-scalar agreement. `Err` carries the first violation.
@@ -57,47 +52,14 @@ impl Debug for ProblemSpec {
 }
 
 impl ProblemSpec {
-    /// The registered kernel for plane width `P`.
-    pub fn kernel<P: KernelPlane>(&self) -> Box<dyn ProblemKernel<P>> {
-        P::kernel_of(self)
+    /// The registered kernel at plane width `P`.
+    pub fn kernel<P: Plane>(&self) -> Box<dyn ProblemKernel<P>> {
+        (self.kernel)().build()
     }
 
     /// Look a problem up by name.
     pub fn find(name: &str) -> Option<&'static ProblemSpec> {
         problem_registry().iter().find(|s| s.name == name)
-    }
-}
-
-/// A plane width with a kernel column in the registry. Implemented for
-/// exactly the widths `plane_registry` ships, so width-generic drivers
-/// (`subspace_sweep`, campaign cross-checks) can fetch the right kernel
-/// without per-width dispatch at every call site.
-pub trait KernelPlane: Plane {
-    /// The registered kernel constructor for this width.
-    fn kernel_of(spec: &ProblemSpec) -> Box<dyn ProblemKernel<Self>>;
-}
-
-impl KernelPlane for u64 {
-    fn kernel_of(spec: &ProblemSpec) -> Box<dyn ProblemKernel<u64>> {
-        (spec.kernel_u64)()
-    }
-}
-
-impl KernelPlane for W128 {
-    fn kernel_of(spec: &ProblemSpec) -> Box<dyn ProblemKernel<W128>> {
-        (spec.kernel_w128)()
-    }
-}
-
-impl KernelPlane for W256 {
-    fn kernel_of(spec: &ProblemSpec) -> Box<dyn ProblemKernel<W256>> {
-        (spec.kernel_w256)()
-    }
-}
-
-impl KernelPlane for W512 {
-    fn kernel_of(spec: &ProblemSpec) -> Box<dyn ProblemKernel<W512>> {
-        (spec.kernel_w512)()
     }
 }
 
@@ -111,10 +73,7 @@ pub fn problem_registry() -> &'static [ProblemSpec] {
             width: 36,
             max_fitness: 26,
             make: || Box::new(GaitProblem::paper()),
-            kernel_u64: || Box::new(GaitKernel::paper()),
-            kernel_w128: || Box::new(GaitKernel::paper()),
-            kernel_w256: || Box::new(GaitKernel::paper()),
-            kernel_w512: || Box::new(GaitKernel::paper()),
+            kernel: || KernelFamily::Gait,
             probe: || probe_named("gait"),
         },
         ProblemSpec {
@@ -123,10 +82,7 @@ pub fn problem_registry() -> &'static [ProblemSpec] {
             width: 24,
             max_fitness: 64,
             make: || Box::new(MealyProblem::fsm_traces()),
-            kernel_u64: || Box::new(MealyKernel::new(MealyProblem::fsm_traces())),
-            kernel_w128: || Box::new(MealyKernel::new(MealyProblem::fsm_traces())),
-            kernel_w256: || Box::new(MealyKernel::new(MealyProblem::fsm_traces())),
-            kernel_w512: || Box::new(MealyKernel::new(MealyProblem::fsm_traces())),
+            kernel: || KernelFamily::Mealy(MealyProblem::fsm_traces()),
             probe: || probe_named("fsm_traces"),
         },
         ProblemSpec {
@@ -135,10 +91,7 @@ pub fn problem_registry() -> &'static [ProblemSpec] {
             width: 16,
             max_fitness: 48,
             make: || Box::new(MealyProblem::serial_adder()),
-            kernel_u64: || Box::new(MealyKernel::new(MealyProblem::serial_adder())),
-            kernel_w128: || Box::new(MealyKernel::new(MealyProblem::serial_adder())),
-            kernel_w256: || Box::new(MealyKernel::new(MealyProblem::serial_adder())),
-            kernel_w512: || Box::new(MealyKernel::new(MealyProblem::serial_adder())),
+            kernel: || KernelFamily::Mealy(MealyProblem::serial_adder()),
             probe: || probe_named("serial_adder"),
         },
     ];
@@ -210,7 +163,7 @@ fn probe_named(name: &'static str) -> Result<(), String> {
 }
 
 /// Kernel-vs-scalar agreement on one width: every lane of a probe batch.
-fn probe_kernel<P: KernelPlane>(spec: &ProblemSpec, problem: &BoxedProblem) -> Result<(), String> {
+fn probe_kernel<P: Plane>(spec: &ProblemSpec, problem: &BoxedProblem) -> Result<(), String> {
     let mut kernel = spec.kernel::<P>();
     if kernel.width() != spec.width {
         return Err(format!(
@@ -240,6 +193,7 @@ fn probe_kernel<P: KernelPlane>(spec: &ProblemSpec, problem: &BoxedProblem) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leonardo_rtl::bitslice::{W128, W512};
 
     #[test]
     fn registry_shape() {

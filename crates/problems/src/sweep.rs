@@ -10,8 +10,9 @@
 //! at every plane width, shard count and thread count — property the
 //! crate tests and the e17 experiment both pin.
 
-use crate::registry::{KernelPlane, ProblemSpec};
+use crate::registry::ProblemSpec;
 use leonardo_landscape::shard::{Shard, ShardPlan};
+use leonardo_rtl::bitslice::Plane;
 
 /// The merged result of one subspace sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +54,7 @@ struct ShardResult {
 /// # Panics
 /// Panics if `subspace_bits` exceeds the problem width or the shard
 /// plan's supported range (6..=36 bits).
-pub fn subspace_sweep<P: KernelPlane>(
+pub fn subspace_sweep<P: Plane>(
     spec: &'static ProblemSpec,
     subspace_bits: u32,
     num_shards: usize,
@@ -95,7 +96,7 @@ pub fn subspace_sweep<P: KernelPlane>(
 }
 
 /// Scan one shard's genome range through a fresh kernel.
-fn sweep_shard<P: KernelPlane>(spec: &ProblemSpec, shard: &Shard, end: u64) -> ShardResult {
+fn sweep_shard<P: Plane>(spec: &ProblemSpec, shard: &Shard, end: u64) -> ShardResult {
     let mut kernel = spec.kernel::<P>();
     let mut histogram = vec![0u64; spec.max_fitness as usize + 1];
     let mut best: Option<(u32, u64)> = None;

@@ -22,7 +22,7 @@
 //!   scalar unit under any weighting.
 
 use crate::bitslice::plane::Plane;
-use crate::bitslice::transpose::{planes_to_bytes_wide, transposed_planes};
+use crate::bitslice::transpose::{planes_to_bytes, transposed_planes};
 use crate::bitslice::LANES;
 use crate::resources::Resources;
 use crate::semantics::{Circuit, Lit, Semantics, SeqCircuit, Word};
@@ -46,7 +46,7 @@ pub const LANE_BITS: usize = 6;
 /// transposed form costs a handful of broadcast words instead of a 64×64
 /// transpose. On a wide plane the same six patterns repeat in every limb
 /// and the limb index supplies the next `log2(P::WORDS)` genome bits (see
-/// [`consecutive_genome_planes_w`]).
+/// [`consecutive_genome_planes`]).
 pub const LANE_INDEX_PLANES: [u64; LANE_BITS] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
@@ -56,34 +56,16 @@ pub const LANE_INDEX_PLANES: [u64; LANE_BITS] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Transposed bit-planes of the 64 consecutive genomes
-/// `first..first + 64`: plane `b` carries genome bit `b` of every lane.
-/// Planes below [`LANE_BITS`] are the fixed [`LANE_INDEX_PLANES`]; every
-/// higher plane is a broadcast of the corresponding bit of `first`.
-///
-/// # Panics
-/// Panics unless `first` is 64-aligned and below 2³⁶.
-pub fn consecutive_genome_planes(first: u64) -> [u64; GENOME_BITS] {
-    assert_eq!(first % LANES as u64, 0, "block base must be 64-aligned");
-    assert!(first >> GENOME_BITS == 0, "block base exceeds 36 bits");
-    let mut planes = [0u64; GENOME_BITS];
-    planes[..LANE_BITS].copy_from_slice(&LANE_INDEX_PLANES);
-    for (b, plane) in planes.iter_mut().enumerate().skip(LANE_BITS) {
-        *plane = 0u64.wrapping_sub(first >> b & 1);
-    }
-    planes
-}
-
-/// [`consecutive_genome_planes`] for any plane width: the transposed
-/// bit-planes of the `P::LANES` consecutive genomes
-/// `first..first + P::LANES`. Limb `w` of lane-bit plane `b < 6` repeats
+/// Transposed bit-planes of the `P::LANES` consecutive genomes
+/// `first..first + P::LANES`: plane `b` carries genome bit `b` of every
+/// lane. Limb `w` of lane-bit plane `b < 6` repeats
 /// `LANE_INDEX_PLANES[b]`; every higher plane's limb `w` broadcasts bit
 /// `b` of `first + 64·w` (the limb offset never carries into those bits
 /// because `first` is `P::LANES`-aligned).
 ///
 /// # Panics
 /// Panics unless `first` is `P::LANES`-aligned and below 2³⁶.
-pub fn consecutive_genome_planes_w<P: Plane>(first: u64) -> [P; GENOME_BITS] {
+pub fn consecutive_genome_planes<P: Plane>(first: u64) -> [P; GENOME_BITS] {
     assert_eq!(
         first % P::LANES as u64,
         0,
@@ -108,9 +90,6 @@ pub struct FitnessUnitXW<P: Plane> {
     spec: FitnessSpec,
     _plane: PhantomData<P>,
 }
-
-/// The 64-lane network (one `u64` plane per signal).
-pub type FitnessUnitX64 = FitnessUnitXW<u64>;
 
 /// Add one sliced bit into a little-endian carry-save counter of `W`
 /// planes (const width so the ripple unrolls).
@@ -171,23 +150,15 @@ impl<P: Plane> FitnessUnitXW<P> {
         self.spec
     }
 
-    /// Score `P::LANES` genomes presented transposed: `bits[b]` carries
-    /// genome bit `b` of every lane. Returns the per-lane weighted
-    /// fitness.
-    pub fn evaluate_transposed(&self, bits: &[P; GENOME_BITS]) -> Vec<u32> {
-        let mut out = vec![0u32; P::LANES];
-        self.evaluate_transposed_into(bits, &mut out);
-        out
-    }
-
-    /// [`Self::evaluate_transposed`] writing into a caller buffer of
-    /// `P::LANES` scores.
+    /// Score `P::LANES` genomes presented transposed (`bits[b]` carries
+    /// genome bit `b` of every lane) into a caller buffer of `P::LANES`
+    /// per-lane weighted fitnesses.
     pub fn evaluate_transposed_into(&self, bits: &[P; GENOME_BITS], out: &mut [u32]) {
         debug_assert_eq!(out.len(), P::LANES);
         if self.is_unit_weight() {
             let planes = self.unit_score_planes(bits);
             let mut bytes = vec![0u8; P::LANES];
-            planes_to_bytes_wide(&planes, &mut bytes);
+            planes_to_bytes(&planes, &mut bytes);
             for (o, &b) in out.iter_mut().zip(bytes.iter()) {
                 *o = u32::from(b);
             }
@@ -227,13 +198,13 @@ impl<P: Plane> FitnessUnitXW<P> {
 
     /// Score the `P::LANES` consecutive genomes `first..first + P::LANES`
     /// into sliced score planes without materializing or transposing them
-    /// (see [`consecutive_genome_planes_w`]) — the landscape sweep's
+    /// (see [`consecutive_genome_planes`]) — the landscape sweep's
     /// kernel step.
     ///
     /// # Panics
     /// Panics unless `first` is `P::LANES`-aligned and below 2³⁶.
     pub fn evaluate_consecutive_planes(&self, first: u64) -> [P; SCORE_PLANES] {
-        self.evaluate_transposed_planes(&consecutive_genome_planes_w(first))
+        self.evaluate_transposed_planes(&consecutive_genome_planes(first))
     }
 
     /// [`Self::evaluate_transposed_planes`] for `P::LANES` lane-major
@@ -341,16 +312,17 @@ impl<P: Plane> FitnessUnitXW<P> {
         let mut eq = vec![0u8; P::LANES];
         let mut sy = vec![0u8; P::LANES];
         let mut co = vec![0u8; P::LANES];
-        planes_to_bytes_wide(&equilibrium, &mut eq);
-        planes_to_bytes_wide(&symmetry, &mut sy);
-        planes_to_bytes_wide(&coherence, &mut co);
+        planes_to_bytes(&equilibrium, &mut eq);
+        planes_to_bytes(&symmetry, &mut sy);
+        planes_to_bytes(&coherence, &mut co);
         for (l, o) in out.iter_mut().enumerate() {
             *o = we * u32::from(eq[l]) + ws * u32::from(sy[l]) + wc * u32::from(co[l]);
         }
     }
 
     /// Score `P::LANES` genomes presented lane-major (word `l` = lane
-    /// `l`'s genome bits): transpose, then [`Self::evaluate_transposed`].
+    /// `l`'s genome bits): transpose, then
+    /// [`Self::evaluate_transposed_into`].
     pub fn evaluate_lanes(&self, genomes: &[u64]) -> Vec<u32> {
         let mut out = vec![0u32; P::LANES];
         self.evaluate_lanes_into(genomes, &mut out);
@@ -466,7 +438,7 @@ pub fn lane_score_lits(spec: FitnessSpec, c: &mut Circuit, bits: &[Lit; GENOME_B
 /// The semantics of **one lane** of the sliced network (see
 /// [`lane_unit_score_lits`] for why the projection is exact and covers
 /// every lane of every width at once).
-impl Semantics for FitnessUnitX64 {
+impl Semantics for FitnessUnitXW<u64> {
     fn semantics(&self) -> SeqCircuit {
         let mut sc = SeqCircuit::new("fitness_unit_x64");
         let genome: [Lit; GENOME_BITS] = sc
@@ -479,7 +451,7 @@ impl Semantics for FitnessUnitX64 {
     }
 }
 
-impl crate::netlist::Describe for FitnessUnitX64 {
+impl crate::netlist::Describe for FitnessUnitXW<u64> {
     fn netlist(&self) -> crate::netlist::StaticNetlist {
         // fully combinational, widths scaled by the lane count
         let lanes = LANES as u32;
@@ -505,7 +477,6 @@ impl crate::netlist::Describe for FitnessUnitX64 {
 mod tests {
     use super::*;
     use crate::bitslice::plane::{W128, W256, W512};
-    use crate::bitslice::transpose::transposed;
     use crate::fitness_rtl::FitnessUnit;
     use discipulus::fitness::{FitnessSpec, Rule};
     use discipulus::genome::{Genome, GENOME_MASK};
@@ -529,7 +500,7 @@ mod tests {
 
     #[test]
     fn all_lanes_match_scalar_unit() {
-        let sliced = FitnessUnitX64::paper();
+        let sliced = FitnessUnitXW::<u64>::paper();
         let scalar = FitnessUnit::paper();
         for round in 0..200 {
             let genomes = scatter_genomes(round);
@@ -573,7 +544,7 @@ mod tests {
             FitnessSpec::without(Rule::Equilibrium),
             FitnessSpec::paper(),
         ] {
-            let sliced = FitnessUnitX64::new(spec);
+            let sliced = FitnessUnitXW::<u64>::new(spec);
             let scalar = FitnessUnit::new(spec);
             let genomes = scatter_genomes(7);
             let scores = sliced.evaluate_lanes(&genomes);
@@ -605,7 +576,7 @@ mod tests {
     fn unit_weight_fast_path_equals_weighted_path() {
         // same spec through both code paths: paper weights taken literally
         // (fast path) versus forced through the generic recombination
-        let fast = FitnessUnitX64::paper();
+        let fast = FitnessUnitXW::<u64>::paper();
         let scalar = FitnessUnit::paper();
         for round in 0..50 {
             let genomes = scatter_genomes(1000 + round);
@@ -625,7 +596,7 @@ mod tests {
             FitnessSpec::only(Rule::Coherence),
             FitnessSpec::without(Rule::Symmetry),
         ] {
-            let fu = FitnessUnitX64::new(spec);
+            let fu = FitnessUnitXW::<u64>::new(spec);
             for round in 0..50 {
                 let genomes = scatter_genomes(3000 + round);
                 let ints = fu.evaluate_lanes(&genomes);
@@ -637,21 +608,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn consecutive_planes_match_explicit_transpose() {
-        for base in [0u64, 64, 0x123_4567_8940, GENOME_MASK - 63] {
-            let base = base & !63 & GENOME_MASK;
-            let mut lanes = [0u64; LANES];
-            for (l, w) in lanes.iter_mut().enumerate() {
-                *w = base + l as u64;
-            }
-            let t = transposed(&lanes);
-            let planes = consecutive_genome_planes(base);
-            assert_eq!(&t[..GENOME_BITS], &planes[..], "base {base:#x}");
-        }
-    }
-
-    /// `consecutive_genome_planes_w::<P>` against an explicit transpose of
+    /// `consecutive_genome_planes::<P>` against an explicit transpose of
     /// the same `P::LANES` genomes.
     fn check_consecutive_planes<P: Plane>() {
         let lanes = P::LANES as u64;
@@ -659,7 +616,7 @@ mod tests {
             let genomes: Vec<u64> = (0..lanes).map(|l| base + l).collect();
             let mut t = [P::ZERO; GENOME_BITS];
             transposed_planes(&genomes, &mut t);
-            let planes = consecutive_genome_planes_w::<P>(base);
+            let planes = consecutive_genome_planes::<P>(base);
             assert_eq!(&t[..], &planes[..], "{} base {base:#x}", P::NAME);
         }
     }
@@ -674,7 +631,7 @@ mod tests {
 
     #[test]
     fn consecutive_scores_match_scalar_unit() {
-        let sliced = FitnessUnitX64::paper();
+        let sliced = FitnessUnitXW::<u64>::paper();
         let scalar = FitnessUnit::paper();
         for base in [0u64, 12 * 64, (1 << 36) - 64] {
             let planes = sliced.evaluate_consecutive_planes(base);
@@ -688,13 +645,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "64-aligned")]
     fn consecutive_planes_reject_unaligned_base() {
-        let _ = consecutive_genome_planes(7);
+        let _ = consecutive_genome_planes::<u64>(7);
     }
 
     #[test]
     #[should_panic(expected = "256-aligned")]
     fn wide_consecutive_planes_reject_unaligned_base() {
-        let _ = consecutive_genome_planes_w::<W256>(64);
+        let _ = consecutive_genome_planes::<W256>(64);
     }
 
     #[test]
@@ -704,7 +661,7 @@ mod tests {
             FitnessSpec::only(Rule::Coherence),
             FitnessSpec::without(Rule::Symmetry),
         ] {
-            let fu = FitnessUnitX64::new(spec);
+            let fu = FitnessUnitXW::<u64>::new(spec);
             let sc = fu.semantics();
             sc.validate().unwrap();
             let out = sc.find_output("fitness").unwrap();
@@ -724,7 +681,7 @@ mod tests {
 
     #[test]
     fn corner_genomes_on_every_lane() {
-        let sliced = FitnessUnitX64::paper();
+        let sliced = FitnessUnitXW::<u64>::paper();
         let scalar = FitnessUnit::paper();
         for bits in [0u64, GENOME_MASK, 0x5_5555_5555, Genome::tripod().bits()] {
             let scores = sliced.evaluate_lanes(&[bits; LANES]);

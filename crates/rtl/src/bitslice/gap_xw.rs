@@ -4,11 +4,11 @@
 //! [`GapRtl`](crate::gap_rtl::GapRtl) — same phases, same draw sequence,
 //! same mask-and-reject retries, same free-running RNG discipline — but
 //! carries `P::LANES` independently-seeded instances through it at once
-//! (64 on the [`GapRtlX64`] alias, up to 512 on
-//! [`W512`](crate::bitslice::W512)). The engine is **bit-exact per
-//! lane**: populations, best registers, drawn logs, cycle counts and
-//! per-phase breakdowns all match a scalar run with the same seed (locked
-//! by the lane-equivalence suite in `tests/` and the per-width probes in
+//! (64 on a `u64` plane, up to 512 on [`W512`](crate::bitslice::W512)).
+//! The engine is **bit-exact per lane**: populations, best registers,
+//! drawn logs, cycle counts and per-phase breakdowns all match a scalar
+//! run with the same seed (locked by the lane-equivalence suite in
+//! `tests/` and the per-width probes in
 //! [`crate::bitslice::plane_registry`]).
 //!
 //! ## Where lanes diverge, and how that stays exact
@@ -47,7 +47,7 @@ use crate::bitslice::fitness_xw::{FitnessUnitXW, SCORE_PLANES};
 use crate::bitslice::plane::{blend, Plane};
 use crate::bitslice::ram_xw::RamXW;
 use crate::bitslice::rng_xw::CaRngXW;
-use crate::bitslice::transpose::{planes_to_bytes_wide, planes_to_lanes, planes_to_u16_wide};
+use crate::bitslice::transpose::{planes_to_bytes, planes_to_lanes, planes_to_u16};
 use crate::bitslice::LANES;
 use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState};
 use crate::resources::{ResourceReport, Resources};
@@ -73,9 +73,6 @@ pub struct GapRtlXWConfig {
     /// defeat the purpose of a throughput engine.
     pub record_draws: bool,
 }
-
-/// The historical name of the 64-lane configuration.
-pub type GapRtlX64Config = GapRtlXWConfig;
 
 impl GapRtlXWConfig {
     /// The paper's configuration (pipelined), draw recording off.
@@ -356,9 +353,6 @@ pub struct GapRtlXW<P: Plane> {
     u16_buf: Vec<u16>,
 }
 
-/// The 64-lane batch engine (one `u64` plane per signal).
-pub type GapRtlX64 = GapRtlXW<u64>;
-
 impl<P: Plane> GapRtlXW<P> {
     /// Build one chip per seed (at most `P::LANES`) and run the initiator
     /// phase on every enabled lane. Seeds map to lanes in order: lane `l`
@@ -556,7 +550,7 @@ impl<P: Plane> GapRtlXW<P> {
             if count.rounds == 0 {
                 continue;
             }
-            planes_to_u16_wide(&count.planes, &mut self.u16_buf);
+            planes_to_u16(&count.planes, &mut self.u16_buf);
             *count = SlicedCount::ZERO;
             let (counts, cycles, breakdown) =
                 (&self.u16_buf, &mut self.cycles, &mut self.breakdown);
@@ -637,12 +631,12 @@ impl<P: Plane> GapRtlXW<P> {
         let k = self.draw_below_planes(acct, mask, bound, phase);
         let planes = self.rng.low_cells(k);
         if k <= 8 {
-            planes_to_bytes_wide(planes, &mut self.byte_buf);
+            planes_to_bytes(planes, &mut self.byte_buf);
             for (o, &b) in out.iter_mut().zip(&self.byte_buf) {
                 *o = u32::from(b);
             }
         } else {
-            planes_to_u16_wide(planes, &mut self.u16_buf);
+            planes_to_u16(planes, &mut self.u16_buf);
             for (o, &w) in out.iter_mut().zip(&self.u16_buf) {
                 *o = u32::from(w);
             }
@@ -783,7 +777,7 @@ impl<P: Plane> GapRtlXW<P> {
         }
         // only the winner's index leaves the sliced domain, to address the
         // lane-major genome gather
-        planes_to_bytes_wide(&chosen[..k], &mut s.idx);
+        planes_to_bytes(&chosen[..k], &mut s.idx);
         let basis = &self.basis;
         let idx = &s.idx;
         let out = if second { &mut s.pb } else { &mut s.pa };
@@ -1202,7 +1196,7 @@ impl<P: Plane> GapRtlXW<P> {
     }
 }
 
-impl crate::netlist::Describe for GapRtlX64 {
+impl crate::netlist::Describe for GapRtlXW<u64> {
     fn netlist(&self) -> crate::netlist::StaticNetlist {
         let n = self.config.params.population_size as u32;
         let lanes = LANES as u32;
@@ -1328,7 +1322,7 @@ mod tests {
     #[test]
     fn lockstep_generations_match_scalar() {
         let s = seeds(8);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper().recording(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper().recording(), &s);
         let mut scalars: Vec<GapRtl> = s
             .iter()
             .map(|&seed| GapRtl::new(GapRtlConfig::paper(seed)))
@@ -1386,7 +1380,7 @@ mod tests {
     #[test]
     fn partial_lane_count_leaves_spares_idle() {
         let s = seeds(5);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
         assert_eq!(batch.enabled(), 0b11111);
         batch.step_generation();
         for l in 0..5 {
@@ -1399,7 +1393,7 @@ mod tests {
     #[test]
     fn unpipelined_mode_matches_scalar() {
         let s = seeds(4);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::unpipelined().recording(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::unpipelined().recording(), &s);
         let mut scalars: Vec<GapRtl> = s
             .iter()
             .map(|&seed| GapRtl::new(GapRtlConfig::unpipelined(seed)))
@@ -1419,7 +1413,7 @@ mod tests {
     #[test]
     fn masked_step_freezes_unselected_lanes() {
         let s = seeds(8);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
         let before_pop = batch.population(3);
         let before_cycles = batch.cycles(3);
         batch.step_generation_masked(0b0000_0111);
@@ -1438,7 +1432,7 @@ mod tests {
     #[test]
     fn reset_lane_is_a_fresh_scalar_chip() {
         let s = seeds(8);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper().recording(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper().recording(), &s);
         for _ in 0..4 {
             batch.step_generation();
         }
@@ -1468,7 +1462,7 @@ mod tests {
     #[test]
     fn upset_flips_one_bit_in_masked_lanes_only() {
         let s = seeds(8);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
         let before: Vec<Population> = (0..8).map(|l| batch.population(l)).collect();
         batch.inject_upset(7 * 36 + 11, 0b0010_0010);
         for (l, before_l) in before.iter().enumerate() {
@@ -1491,8 +1485,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed_set() {
         let s = seeds(16);
-        let mut a = GapRtlX64::new(GapRtlX64Config::paper(), &s);
-        let mut b = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+        let mut a = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
+        let mut b = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
         for _ in 0..5 {
             a.step_generation();
             b.step_generation();
@@ -1506,7 +1500,7 @@ mod tests {
     #[test]
     fn run_to_convergence_freezes_lanes_at_their_own_generation() {
         let s = seeds(8);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
         let converged = batch.run_to_convergence(50_000);
         assert_eq!(converged, 0xFF, "all 8 lanes should converge");
         for l in 0..8 {
@@ -1524,13 +1518,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn upset_position_checked() {
-        GapRtlX64::new(GapRtlX64Config::paper(), &[1]).inject_upset(1152, 1);
+        GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &[1]).inject_upset(1152, 1);
     }
 
     #[test]
     #[should_panic(expected = "recording disabled")]
     fn drawn_log_requires_recording() {
-        let gap = GapRtlX64::new(GapRtlX64Config::paper(), &[1]);
+        let gap = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &[1]);
         let _ = gap.drawn_log(0);
     }
 }

@@ -5,7 +5,7 @@
 //! [`Plane`] whose bit `l` belongs to simulation **lane** `l`, so one
 //! update of a sliced unit advances `P::LANES` independent,
 //! independently-seeded chip instances at once. The plane is `u64` on the
-//! historical 64-lane engine and `[u64; N]` on the wide ones
+//! 64-lane engine and `[u64; N]` on the wide ones
 //! ([`W128`]/[`W256`]/[`W512`]), whose elementwise word loops the compiler
 //! autovectorizes — no intrinsics, no `unsafe`. [`GapRtlXW`] is the batch
 //! counterpart of [`crate::gap_rtl::GapRtl`] and is **bit-exact per
@@ -41,10 +41,11 @@
 //! is a one-hot lane-mask XOR into the population RAM
 //! ([`GapRtlXW::inject_upset`]) instead of a per-fault rerun.
 //!
-//! The 64-lane names ([`GapRtlX64`], [`CaRngX64`], [`FitnessUnitX64`],
-//! [`RamX64`]) are aliases of the width-generic types at `P = u64`; the
-//! netlist descriptions and SAT-checked semantics claims live on those
-//! aliases, pinned to the historical `*_x64` unit names.
+//! The 64-lane engine is the width-generic one at `P = u64`, with no
+//! second name: the netlist descriptions and SAT-checked semantics claims
+//! are implemented on `GapRtlXW<u64>`, `CaRngXW<u64>`,
+//! `FitnessUnitXW<u64>` and `RamXW<u64>`, under the pinned `*_x64` unit
+//! names.
 
 pub mod fitness_xw;
 pub mod gap_xw;
@@ -54,13 +55,13 @@ pub mod rng_xw;
 pub mod transpose;
 
 pub use fitness_xw::{
-    consecutive_genome_planes, consecutive_genome_planes_w, lane_score_lits, lane_unit_score_lits,
-    FitnessUnitX64, FitnessUnitXW, LANE_BITS, LANE_INDEX_PLANES, SCORE_PLANES,
+    consecutive_genome_planes, lane_score_lits, lane_unit_score_lits, FitnessUnitXW, LANE_BITS,
+    LANE_INDEX_PLANES, SCORE_PLANES,
 };
-pub use gap_xw::{gather_scores, GapRtlX64, GapRtlX64Config, GapRtlXW, GapRtlXWConfig};
+pub use gap_xw::{gather_scores, GapRtlXW, GapRtlXWConfig};
 pub use plane::{plane_registry, Plane, PlaneWidth, Wide, W128, W256, W512};
-pub use ram_xw::{RamX64, RamXW};
-pub use rng_xw::{CaRngX64, CaRngXW};
+pub use ram_xw::RamXW;
+pub use rng_xw::CaRngXW;
 
 /// Number of simulation lanes carried per machine word on the historical
 /// 64-lane engine ([`Plane::LANES`] of `u64`; wide planes carry more).

@@ -32,9 +32,6 @@ pub struct RamXW<P: Plane> {
     _plane: PhantomData<P>,
 }
 
-/// The 64-lane RAM.
-pub type RamX64 = RamXW<u64>;
-
 impl<P: Plane> RamXW<P> {
     /// A zero-initialized RAM of `depth` words of `width ≤ 64` bits per
     /// lane.
@@ -146,7 +143,7 @@ impl<P: Plane> RamXW<P> {
     }
 }
 
-impl Describe for RamX64 {
+impl Describe for RamXW<u64> {
     fn netlist(&self) -> StaticNetlist {
         let addr_bits = usize::BITS - (self.depth().max(2) - 1).leading_zeros();
         let lanes = LANES as u32;
@@ -172,7 +169,7 @@ mod tests {
 
     #[test]
     fn lanes_are_independent() {
-        let mut ram = RamX64::new(4, 36);
+        let mut ram = RamXW::<u64>::new(4, 36);
         ram.write_lane(2, 5, 0xABC);
         ram.write_lane(2, 6, 0xDEF);
         assert_eq!(ram.peek(2, 5), 0xABC);
@@ -183,7 +180,7 @@ mod tests {
 
     #[test]
     fn writes_mask_to_width() {
-        let mut ram = RamX64::new(2, 36);
+        let mut ram = RamXW::<u64>::new(2, 36);
         ram.write_lane(0, 0, u64::MAX);
         assert_eq!(ram.peek(0, 0), (1u64 << 36) - 1);
         let vals = [u64::MAX; LANES];
@@ -194,7 +191,7 @@ mod tests {
 
     #[test]
     fn masked_write_holds_unselected_lanes() {
-        let mut ram = RamX64::new(1, 16);
+        let mut ram = RamXW::<u64>::new(1, 16);
         let a = [0x1111u64; LANES];
         let b = [0x2222u64; LANES];
         ram.write_masked(0, u64::MAX, &a);
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn flip_bit_is_a_masked_involution() {
-        let mut ram = RamX64::new(3, 36);
+        let mut ram = RamXW::<u64>::new(3, 36);
         let vals: [u64; LANES] = core::array::from_fn(|l| l as u64 * 7);
         ram.write_masked(1, u64::MAX, &vals);
         let before = ram.column(1).to_vec();
@@ -248,8 +245,8 @@ mod tests {
 
     #[test]
     fn copy_lanes_from_moves_only_masked_lanes() {
-        let mut a = RamX64::new(2, 8);
-        let mut b = RamX64::new(2, 8);
+        let mut a = RamXW::<u64>::new(2, 8);
+        let mut b = RamXW::<u64>::new(2, 8);
         a.write_masked(0, u64::MAX, &[0xAAu64; LANES]);
         b.write_masked(0, u64::MAX, &[0xBBu64; LANES]);
         b.copy_lanes_from(&a, 0b101);

@@ -25,7 +25,6 @@
 //! in the mask (the engine uses them when no enabled lane is frozen).
 
 use crate::bitslice::plane::{blend, each_cell, Plane};
-use crate::bitslice::transpose::planes_to_bytes_wide;
 use crate::bitslice::{CELLS, LANES};
 use crate::netlist::{Describe, StaticNetlist};
 use crate::resources::Resources;
@@ -47,9 +46,6 @@ pub struct CaRngXW<P: Plane> {
     /// engine jumps by a handful of strides, so a scan beats hashing.
     jumps: Vec<(u64, [u32; CELLS])>,
 }
-
-/// The 64-lane generator (one `u64` plane per signal).
-pub type CaRngX64 = CaRngXW<u64>;
 
 /// Stepping is cheaper than a table jump below this stride.
 const MIN_JUMP: u64 = 8;
@@ -285,40 +281,6 @@ impl<P: Plane> CaRngXW<P> {
         &self.cells[..k]
     }
 
-    /// Extract the low `k ≤ 8` bits of every lane's output word into one
-    /// byte per lane — the word-parallel form of `P::LANES`
-    /// `lane_low_bits` calls (SWAR byte-spread instead of a per-lane bit
-    /// gather).
-    ///
-    /// # Panics
-    /// Debug-asserts `k ≤ 8` and `out.len() == P::LANES`.
-    pub fn extract_low_bytes(&self, k: usize, out: &mut [u8]) {
-        debug_assert!(k <= 8);
-        planes_to_bytes_wide(&self.cells[..k], out);
-    }
-
-    /// Extract the low `k ≤ 16` bits of every lane's output word, one
-    /// `u16` per lane (two byte-spread passes).
-    ///
-    /// # Panics
-    /// Debug-asserts `k ≤ 16` and `out.len() == P::LANES`.
-    pub fn extract_low_u16(&self, k: usize, out: &mut [u16]) {
-        debug_assert!(k <= 16);
-        debug_assert_eq!(out.len(), P::LANES);
-        let mut lo = vec![0u8; P::LANES];
-        let mut hi = vec![0u8; P::LANES];
-        planes_to_bytes_wide(&self.cells[..k.min(8)], &mut lo);
-        planes_to_bytes_wide(&self.cells[8..k.max(8)], &mut hi);
-        for (o, (&l, &h)) in out.iter_mut().zip(lo.iter().zip(hi.iter())) {
-            *o = u16::from(l) | u16::from(h) << 8;
-        }
-    }
-
-    /// The output words of all lanes.
-    pub fn words(&self) -> Vec<u32> {
-        (0..P::LANES).map(|l| self.lane_word(l)).collect()
-    }
-
     /// Sliced comparator: the mask of lanes whose low `k` bits, read as an
     /// integer, are strictly below `c` (the hardware would fold this into
     /// the mask-and-reject / threshold compare network). If `c` needs more
@@ -352,7 +314,7 @@ impl<P: Plane> CaRngXW<P> {
     }
 }
 
-impl Describe for CaRngX64 {
+impl Describe for CaRngXW<u64> {
     fn netlist(&self) -> StaticNetlist {
         StaticNetlist::new("ca_rng_x64")
             .claim(self.resources())
@@ -375,7 +337,7 @@ impl Describe for CaRngX64 {
 /// the analysis gate's `CaRngRtl` ↔ lane miter covers the whole sliced
 /// unit; the per-width probes in [`crate::bitslice::plane_registry`] pin
 /// the wide instantiations concretely on top.
-impl Semantics for CaRngX64 {
+impl Semantics for CaRngXW<u64> {
     fn semantics(&self) -> SeqCircuit {
         let mut sc = SeqCircuit::new("ca_rng_x64");
         // power-on state: lane 0 (any lane's projection is the same
@@ -424,7 +386,7 @@ mod tests {
     #[test]
     fn all_lanes_bit_exact_with_scalar_rtl() {
         let seeds = seeds64();
-        let mut sliced = CaRngX64::new(&seeds);
+        let mut sliced = CaRngXW::<u64>::new(&seeds);
         let mut scalars: Vec<CaRngRtl> = seeds.iter().map(|&s| CaRngRtl::new(s)).collect();
         for (l, s) in scalars.iter().enumerate() {
             assert_eq!(sliced.lane_word(l), s.word(), "lane {l} seed");
@@ -469,7 +431,7 @@ mod tests {
     #[test]
     fn masked_clock_holds_unselected_lanes() {
         let seeds = seeds64();
-        let mut sliced = CaRngX64::new(&seeds);
+        let mut sliced = CaRngXW::<u64>::new(&seeds);
         let mut scalars: Vec<CaRngRtl> = seeds.iter().map(|&s| CaRngRtl::new(s)).collect();
         // an uneven clocking schedule: lane l steps on iterations where
         // the pattern selects it
@@ -490,8 +452,8 @@ mod tests {
     fn jump_strides_equal_stepping() {
         let seeds = seeds64();
         for n in [8u64, 36, 38, 65, 68, 74, 200] {
-            let mut jumped = CaRngX64::new(&seeds);
-            let mut stepped = CaRngX64::new(&seeds);
+            let mut jumped = CaRngXW::<u64>::new(&seeds);
+            let mut stepped = CaRngXW::<u64>::new(&seeds);
             let mask = 0xDEAD_BEEF_0BAD_F00Du64;
             jumped.advance(mask, n);
             for _ in 0..n {
@@ -519,8 +481,8 @@ mod tests {
     #[test]
     fn free_advance_equals_full_mask_advance() {
         let seeds = seeds64();
-        let mut free = CaRngX64::new(&seeds);
-        let mut masked = CaRngX64::new(&seeds);
+        let mut free = CaRngXW::<u64>::new(&seeds);
+        let mut masked = CaRngXW::<u64>::new(&seeds);
         for n in [1u64, 3, 36, 38, 68] {
             free.advance_free(n);
             masked.advance(u64::MAX, n);
@@ -531,7 +493,7 @@ mod tests {
     #[test]
     fn seed_lane_resets_one_lane_only() {
         let seeds = seeds64();
-        let mut r = CaRngX64::new(&seeds);
+        let mut r = CaRngXW::<u64>::new(&seeds);
         r.advance(u64::MAX, 100);
         let before = r.cells;
         r.seed_lane(7, 0xCAFE);
@@ -553,7 +515,7 @@ mod tests {
 
     #[test]
     fn zero_seed_remapped_per_lane() {
-        let r = CaRngX64::new(&[0, 5, 0]);
+        let r = CaRngXW::<u64>::new(&[0, 5, 0]);
         assert_eq!(r.lane_word(0), 1);
         assert_eq!(r.lane_word(1), 5);
         assert_eq!(r.lane_word(2), 1);
@@ -562,49 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_extraction_matches_bit_gather() {
-        let seeds = seeds64();
-        let mut r = CaRngX64::new(&seeds);
-        let mut bytes = [0u8; LANES];
-        let mut words = [0u16; LANES];
-        for step in 0..100 {
-            r.clock(u64::MAX);
-            for k in [5usize, 6, 8] {
-                r.extract_low_bytes(k, &mut bytes);
-                for (l, &b) in bytes.iter().enumerate() {
-                    assert_eq!(
-                        u32::from(b),
-                        r.lane_low_bits(l, k),
-                        "step {step} lane {l} k={k}"
-                    );
-                }
-            }
-            r.extract_low_u16(11, &mut words);
-            for (l, &w) in words.iter().enumerate() {
-                assert_eq!(u32::from(w), r.lane_low_bits(l, 11), "lane {l} k=11");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_extraction_matches_bit_gather() {
-        let mut r = CaRngXW::<W128>::new(&seeds(128));
-        let mut bytes = vec![0u8; 128];
-        let mut words = vec![0u16; 128];
-        for _ in 0..40 {
-            r.clock(W128::ONES);
-            r.extract_low_bytes(6, &mut bytes);
-            r.extract_low_u16(11, &mut words);
-            for l in 0..128 {
-                assert_eq!(u32::from(bytes[l]), r.lane_low_bits(l, 6), "byte lane {l}");
-                assert_eq!(u32::from(words[l]), r.lane_low_bits(l, 11), "u16 lane {l}");
-            }
-        }
-    }
-
-    #[test]
     fn lane_semantics_matches_sliced_lane_zero() {
-        let mut sliced = CaRngX64::new(&seeds64());
+        let mut sliced = CaRngXW::<u64>::new(&seeds64());
         let sc = sliced.semantics();
         sc.validate().unwrap();
         let mut state = sc.initial_state();
@@ -619,7 +540,7 @@ mod tests {
     #[test]
     fn lt_const_matches_scalar_compare() {
         let seeds = seeds64();
-        let mut r = CaRngX64::new(&seeds);
+        let mut r = CaRngXW::<u64>::new(&seeds);
         for step in 0..200 {
             r.clock(u64::MAX);
             for (k, c) in [(8usize, 205u32), (8, 179), (6, 35), (11, 1152), (5, 32)] {

@@ -2,8 +2,8 @@
 //! (word `l` = lane `l`'s value) and the bit-sliced layout (word `b` = bit
 //! `b` across all lanes).
 //!
-//! The wide-plane generalizations ([`transposed_planes`],
-//! [`planes_to_bytes_wide`], [`planes_to_u16_wide`]) apply the same 64-lane
+//! Every helper ([`transposed_planes`], [`planes_to_lanes`],
+//! [`planes_to_bytes`], [`planes_to_u16`]) applies the same 64-lane
 //! kernels once per `u64` limb of a [`Plane`]: a `W512` transpose is eight
 //! independent 64×64 block transposes, one per lane group.
 
@@ -30,13 +30,6 @@ pub fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Transposed copy of 64 lane-major words (see [`transpose64`]).
-pub fn transposed(lane_major: &[u64; 64]) -> [u64; 64] {
-    let mut t = *lane_major;
-    transpose64(&mut t);
-    t
-}
-
 /// Spread one byte of a bit-plane into eight lane-bytes, shifted up by
 /// `shift`. The multiply fans the byte across all eight byte positions and
 /// the mask keeps the anti-diagonal bit of each, so the result's byte `k`
@@ -48,50 +41,15 @@ fn spread8(plane: u64, group: usize, shift: u32) -> u64 {
     (byte.wrapping_mul(0x8040_2010_0804_0201).wrapping_shr(7) & 0x0101_0101_0101_0101) << shift
 }
 
-/// Narrow columnwise transpose: gather up to 8 bit-planes into one byte
-/// per lane (`out[l]` bit `j` = bit `l` of `planes[j]`). This is the
+/// Columnwise transpose: gather up to 8 bit-planes into one byte per
+/// lane (`out[l]` bit `j` = lane `l` of `planes[j]`). This is the
 /// word-parallel way to read a small per-lane value (a draw result, a
 /// carry-save count) out of the sliced domain — 64 lanes for ~5 word ops
-/// per plane instead of a per-lane bit gather.
-///
-/// # Panics
-/// Debug-asserts `planes.len() ≤ 8`.
-pub fn planes_to_bytes(planes: &[u64], out: &mut [u8; 64]) {
-    debug_assert!(planes.len() <= 8, "at most 8 planes fit a byte");
-    for group in 0..8 {
-        let mut acc = 0u64;
-        for (j, &plane) in planes.iter().enumerate() {
-            acc |= spread8(plane, group, j as u32);
-        }
-        // un-mirror the multiply-spread (its byte k is lane 8·group+7−k)
-        // with a single byte-reversal instead of eight scalar stores
-        out[8 * group..8 * group + 8].copy_from_slice(&acc.swap_bytes().to_le_bytes());
-    }
-}
-
-/// Gather 9..=16 bit-planes into one `u16` per lane (two byte-spread
-/// passes over the low and high byte halves).
-///
-/// # Panics
-/// Debug-asserts `8 < planes.len() ≤ 16`.
-pub fn planes_to_u16(planes: &[u64], out: &mut [u16; 64]) {
-    debug_assert!(planes.len() > 8 && planes.len() <= 16);
-    let mut lo = [0u8; 64];
-    let mut hi = [0u8; 64];
-    planes_to_bytes(&planes[..8], &mut lo);
-    planes_to_bytes(&planes[8..], &mut hi);
-    for l in 0..64 {
-        out[l] = u16::from(lo[l]) | u16::from(hi[l]) << 8;
-    }
-}
-
-/// [`planes_to_bytes`] for any plane width: gather up to 8 wide
-/// bit-planes into one byte per lane, one byte-spread pass per 64-lane
-/// limb.
+/// per plane and limb instead of a per-lane bit gather.
 ///
 /// # Panics
 /// Debug-asserts `planes.len() ≤ 8` and `out.len() == P::LANES`.
-pub fn planes_to_bytes_wide<P: Plane>(planes: &[P], out: &mut [u8]) {
+pub fn planes_to_bytes<P: Plane>(planes: &[P], out: &mut [u8]) {
     debug_assert!(planes.len() <= 8, "at most 8 planes fit a byte");
     debug_assert_eq!(out.len(), P::LANES);
     for w in 0..P::WORDS {
@@ -100,17 +58,20 @@ pub fn planes_to_bytes_wide<P: Plane>(planes: &[P], out: &mut [u8]) {
             for (j, plane) in planes.iter().enumerate() {
                 acc |= spread8(plane.word(w), group, j as u32);
             }
+            // one byte-reversal un-mirrors the multiply-spread (its byte
+            // k is lane base + 7 − k) instead of eight scalar stores
             let base = 64 * w + 8 * group;
             out[base..base + 8].copy_from_slice(&acc.swap_bytes().to_le_bytes());
         }
     }
 }
 
-/// [`planes_to_u16`] for any plane width.
+/// Gather 9..=16 bit-planes into one `u16` per lane (two byte-spread
+/// passes over the low and high byte halves).
 ///
 /// # Panics
 /// Debug-asserts `8 < planes.len() ≤ 16` and `out.len() == P::LANES`.
-pub fn planes_to_u16_wide<P: Plane>(planes: &[P], out: &mut [u16]) {
+pub fn planes_to_u16<P: Plane>(planes: &[P], out: &mut [u16]) {
     debug_assert!(planes.len() > 8 && planes.len() <= 16);
     debug_assert_eq!(out.len(), P::LANES);
     for w in 0..P::WORDS {
@@ -136,7 +97,7 @@ pub fn planes_to_u16_wide<P: Plane>(planes: &[P], out: &mut [u16]) {
 
 /// Transpose `P::LANES` lane-major words into up to 64 wide bit-planes:
 /// afterwards `out[b]` carries bit `b` of every lane. One 64×64 block
-/// transpose per limb — the wide form of [`transposed`].
+/// transpose per limb (see [`transpose64`]).
 ///
 /// # Panics
 /// Debug-asserts `lane_major.len() == P::LANES` and `out.len() ≤ 64`.
@@ -221,7 +182,9 @@ mod tests {
                 .wrapping_add(0xDEAD_BEEF);
             *w = x;
         }
-        assert_eq!(transposed(&a), naive(&a));
+        let want = naive(&a);
+        transpose64(&mut a);
+        assert_eq!(a, want);
     }
 
     #[test]
@@ -257,7 +220,7 @@ mod tests {
         }
         for k in 1..=8usize {
             let mut out = [0u8; 64];
-            planes_to_bytes(&planes[..k], &mut out);
+            planes_to_bytes::<u64>(&planes[..k], &mut out);
             for (l, &got) in out.iter().enumerate() {
                 let mut want = 0u8;
                 for (j, &p) in planes[..k].iter().enumerate() {
@@ -285,9 +248,9 @@ mod tests {
             }
         }
         let mut bytes = vec![0u8; 256];
-        planes_to_bytes_wide(&planes[..7], &mut bytes);
+        planes_to_bytes(&planes[..7], &mut bytes);
         let mut words = vec![0u16; 256];
-        planes_to_u16_wide(&planes[..12], &mut words);
+        planes_to_u16(&planes[..12], &mut words);
         for (l, &w) in lane_major.iter().enumerate() {
             assert_eq!(u64::from(bytes[l]), w & 0x7F, "byte lane {l}");
             assert_eq!(u64::from(words[l]), w & 0xFFF, "u16 lane {l}");
@@ -305,18 +268,6 @@ mod tests {
                 assert_eq!(back[l], u64::MAX, "untouched lane {l}");
             }
         }
-    }
-
-    #[test]
-    fn wide_u64_helpers_agree_with_narrow() {
-        let planes: Vec<u64> = (0..6u64)
-            .map(|i| i.wrapping_mul(0xA5A5_5A5A_1234_8765) ^ (i << 40))
-            .collect();
-        let mut narrow = [0u8; 64];
-        planes_to_bytes(&planes, &mut narrow);
-        let mut wide = vec![0u8; 64];
-        planes_to_bytes_wide::<u64>(&planes, &mut wide);
-        assert_eq!(&narrow[..], &wide[..]);
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub mod walkctl_rtl;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::bitslice::{
-        CaRngX64, CaRngXW, FitnessUnitX64, FitnessUnitXW, GapRtlX64, GapRtlX64Config, GapRtlXW,
-        GapRtlXWConfig, Plane, RamX64, RamXW, LANES, W128, W256, W512,
+        CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig, Plane, RamXW, LANES, W128, W256, W512,
     };
     pub use crate::bitstream::Bitstream;
     pub use crate::control::{CtrlState, GapControlFsm};

@@ -128,7 +128,8 @@ pub fn parse_genome(s: &str) -> Result<u64, ApiError> {
     Ok(bits)
 }
 
-/// The engine widths `POST /evolve` can dispatch to.
+/// The engine widths `POST /evolve` can dispatch to; width `w` runs the
+/// engine `/healthz` lists as `rtl_{w}`.
 pub const EVOLVE_WIDTHS: [&str; 4] = ["x64", "w128", "w256", "w512"];
 
 /// The evolution modes `POST /evolve` serves: `rules` runs the chip's
@@ -342,7 +343,8 @@ impl EvolveRequest {
                     .ok_or_else(|| ApiError::bad_request("`width` must be a string"))?;
                 if !EVOLVE_WIDTHS.contains(&w) {
                     return Err(ApiError::bad_request(format!(
-                        "unknown width `{w}` (one of x64, w128, w256, w512)"
+                        "unknown width `{w}` (one of {})",
+                        EVOLVE_WIDTHS.join(", ")
                     )));
                 }
                 w.to_string()

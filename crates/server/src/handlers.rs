@@ -13,8 +13,8 @@ use discipulus::fitness::FitnessSpec;
 use leonardo_faults::campaign::Campaign;
 use leonardo_landscape::FULL_SWEEP_MAX_SET;
 use leonardo_problems::{nsga2_campaigns, problem_campaigns, GaitMoProblem, ProblemSpec};
-use leonardo_rtl::bitslice::{W128, W256, W512};
-use leonardo_rtl::driver::{engine_label, rtl_evolve_batch_w, EvolvedTrial};
+use leonardo_rtl::bitslice::{Plane, W128, W256, W512};
+use leonardo_rtl::driver::{engine_label, rtl_evolve_batch_w};
 use leonardo_telemetry::json::Json;
 use leonardo_telemetry::MANIFEST_SCHEMA_VERSION;
 use std::sync::atomic::Ordering;
@@ -83,45 +83,31 @@ fn evolve(state: &AppState, request: &Request) -> Result<String, ApiError> {
         );
         return Ok(api::evolve_objectives_response(&req, &campaigns));
     }
+    // parse admits only the EVOLVE_WIDTHS, so the last arm is "w512"
+    Ok(match req.width.as_str() {
+        "x64" => evolve_rules::<u64>(&req),
+        "w128" => evolve_rules::<W128>(&req),
+        "w256" => evolve_rules::<W256>(&req),
+        _ => evolve_rules::<W512>(&req),
+    })
+}
+
+/// Rules mode on `P`-wide planes. Gait runs the same batch-refill driver
+/// a direct driver call runs — that, plus the per-seed bit-exactness of
+/// the engines, is the determinism contract: served bytes equal a local
+/// run's for any width and thread count. Any other registry problem runs
+/// the generic campaign driver e17_fsm runs, whose trials are pure
+/// functions of their seeds; there the width only selects the kernel
+/// that cross-checks each winner.
+fn evolve_rules<P: Plane>(req: &EvolveRequest) -> String {
     if req.problem != "gait" {
-        // the same generic campaign driver e17_fsm runs — per-seed trials
-        // are pure functions of their seeds and unobservable to plane
-        // width and thread count, so served bytes equal a local run's;
-        // the width still selects the kernel used for the winner
-        // cross-check
         let spec = ProblemSpec::find(&req.problem).expect("parse validated the problem");
         let seeds: Vec<u64> = req.seeds.iter().map(|&s| u64::from(s)).collect();
-        let trials = match req.width.as_str() {
-            "x64" => problem_campaigns::<u64>(spec, &seeds, req.max_generations, req.threads),
-            "w128" => problem_campaigns::<W128>(spec, &seeds, req.max_generations, req.threads),
-            "w256" => problem_campaigns::<W256>(spec, &seeds, req.max_generations, req.threads),
-            _ => problem_campaigns::<W512>(spec, &seeds, req.max_generations, req.threads),
-        };
-        return Ok(api::evolve_problem_response(spec, &req, &trials));
+        let trials = problem_campaigns::<P>(spec, &seeds, req.max_generations, req.threads);
+        return api::evolve_problem_response(spec, req, &trials);
     }
-    // the same batch-refill driver a direct harness call runs — that, plus
-    // the per-seed bit-exactness of the engines, is the determinism
-    // contract: served bytes equal a local run's for any width and thread
-    // count
-    let trials: Vec<EvolvedTrial> = match req.width.as_str() {
-        "x64" => rtl_evolve_batch_w::<u64>(&req.seeds, req.max_generations, req.threads),
-        "w128" => rtl_evolve_batch_w::<W128>(&req.seeds, req.max_generations, req.threads),
-        "w256" => rtl_evolve_batch_w::<W256>(&req.seeds, req.max_generations, req.threads),
-        "w512" => rtl_evolve_batch_w::<W512>(&req.seeds, req.max_generations, req.threads),
-        other => {
-            return Err(ApiError::bad_request(format!(
-                "unknown width `{other}` (one of {})",
-                EVOLVE_WIDTHS.join(", ")
-            )))
-        }
-    };
-    let engine = match req.width.as_str() {
-        "x64" => engine_label::<u64>(),
-        "w128" => engine_label::<W128>(),
-        "w256" => engine_label::<W256>(),
-        _ => engine_label::<W512>(),
-    };
-    Ok(api::evolve_response(engine, &req, &trials))
+    let trials = rtl_evolve_batch_w::<P>(&req.seeds, req.max_generations, req.threads);
+    api::evolve_response(engine_label::<P>(), req, &trials)
 }
 
 /// `GET /landscape`: the fitness-landscape oracle, subspace or point.
@@ -252,9 +238,9 @@ fn healthz() -> String {
         (
             "engines".to_string(),
             Json::Arr(
-                ["rtl_x64", "rtl_w128", "rtl_w256", "rtl_w512"]
+                EVOLVE_WIDTHS
                     .iter()
-                    .map(|e| Json::Str(e.to_string()))
+                    .map(|w| Json::Str(format!("rtl_{w}")))
                     .collect(),
             ),
         ),
@@ -295,7 +281,7 @@ fn metrics(state: &AppState) -> String {
             )
         })
         .collect();
-    let mut members = vec![
+    Json::Obj(vec![
         (
             "connections".to_string(),
             Json::Num(m.connections.load(Ordering::Relaxed) as f64),
@@ -322,18 +308,6 @@ fn metrics(state: &AppState) -> String {
                 ),
             ]),
         ),
-    ];
-    if let Some(agg) = &state.config.aggregator {
-        members.push((
-            "telemetry".to_string(),
-            Json::Obj(vec![
-                ("events".to_string(), Json::Num(agg.event_count() as f64)),
-                (
-                    "requests_observed".to_string(),
-                    Json::Num(agg.events("server.request").len() as f64),
-                ),
-            ]),
-        ));
-    }
-    Json::Obj(members).to_string()
+    ])
+    .to_string()
 }

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! With `--telemetry PATH` every request is appended to a JSONL event
-//! stream (`server.request` events) and `GET /metrics` reports the
-//! aggregator's view alongside the server's own counters.
+//! stream (`server.request` events). The stream is written through, one
+//! `write_all` per event: the server runs until it is killed, so nothing
+//! would ever flush a buffer.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +17,7 @@ use leonardo_telemetry as tele;
 use std::sync::Arc;
 
 fn main() {
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         addr: arg_or("--addr", "127.0.0.1:7878".to_string()),
         threads: arg_or("--threads", 0usize),
         ..ServerConfig::default()
@@ -27,17 +28,15 @@ fn main() {
     let _guard = if telemetry_path.is_empty() {
         None
     } else {
-        let jsonl = match tele::sink::JsonlSink::create(&telemetry_path) {
-            Ok(s) => Arc::new(s),
+        let file = match std::fs::File::create(&telemetry_path) {
+            Ok(f) => f,
             Err(e) => {
                 eprintln!("error: cannot open telemetry stream {telemetry_path}: {e}");
                 std::process::exit(1);
             }
         };
-        let agg = Arc::new(tele::sink::Aggregator::new());
-        config.aggregator = Some(Arc::clone(&agg));
-        let fanout = Arc::new(tele::sink::Fanout::new(vec![jsonl, agg]));
-        Some(tele::install(fanout, tele::Level::Metric))
+        let jsonl = Arc::new(tele::sink::JsonlSink::new(file));
+        Some(tele::install(jsonl, tele::Level::Metric))
     };
 
     let handle = match leonardo_server::start(config) {

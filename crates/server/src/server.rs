@@ -38,10 +38,6 @@ pub struct ServerConfig {
     pub max_evolve_generations: u64,
     /// Largest `/campaign` generation budget.
     pub max_campaign_generations: u64,
-    /// When set, `/metrics` additionally reports this aggregator's view
-    /// of the telemetry stream (the binary wires one up; embedded test
-    /// servers usually run without).
-    pub aggregator: Option<Arc<tele::sink::Aggregator>>,
 }
 
 impl Default for ServerConfig {
@@ -53,7 +49,6 @@ impl Default for ServerConfig {
             max_evolve_trials: 4096,
             max_evolve_generations: 1_000_000,
             max_campaign_generations: 200_000,
-            aggregator: None,
         }
     }
 }

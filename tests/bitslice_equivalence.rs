@@ -2,7 +2,7 @@
 //! many scalar RTL chips.
 //!
 //! The contract is total, not statistical: for every lane `l`, every
-//! architecturally visible register of `GapRtlX64` — population words,
+//! architecturally visible register of `GapRtlXW<u64>` — population words,
 //! best-individual registers, generation and cycle counters, per-phase
 //! breakdowns, and (in recording mode) the full consumed-RNG-word log —
 //! is bit-for-bit the scalar `GapRtl` seeded with `seeds[l]`. The wide
@@ -15,8 +15,7 @@
 use discipulus::params::GapParams;
 use leonardo_faults::{Campaign, FaultModel};
 use leonardo_rtl::bitslice::{
-    plane_registry, GapRtlX64, GapRtlX64Config, GapRtlXW, GapRtlXWConfig, Plane, LANES, W128, W256,
-    W512,
+    plane_registry, GapRtlXW, GapRtlXWConfig, Plane, LANES, W128, W256, W512,
 };
 use leonardo_rtl::driver::rtl_convergence_batch_w;
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
@@ -26,7 +25,7 @@ fn seeds(n: usize) -> Vec<u32> {
     (0..n as u32).map(|i| 0x1000 + 7 * i).collect()
 }
 
-fn assert_lane_matches(batch: &GapRtlX64, scalar: &GapRtl, l: usize, ctx: &str) {
+fn assert_lane_matches(batch: &GapRtlXW<u64>, scalar: &GapRtl, l: usize, ctx: &str) {
     assert_eq!(
         batch.population(l),
         scalar.population(),
@@ -55,7 +54,7 @@ fn assert_lane_matches(batch: &GapRtlX64, scalar: &GapRtl, l: usize, ctx: &str) 
 #[test]
 fn full_64_lane_lockstep_is_bit_exact() {
     let s = seeds(LANES);
-    let mut batch = GapRtlX64::new(GapRtlX64Config::paper().recording(), &s);
+    let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper().recording(), &s);
     let mut scalars: Vec<GapRtl> = s
         .iter()
         .map(|&seed| GapRtl::new(GapRtlConfig::paper(seed)))
@@ -84,7 +83,7 @@ fn full_64_lane_lockstep_is_bit_exact() {
 #[test]
 fn run_to_convergence_matches_scalar_per_lane() {
     let s = seeds(LANES);
-    let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+    let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
     let converged = batch.run_to_convergence(50_000);
     assert_eq!(converged, u64::MAX, "all 64 lanes should converge");
     for (l, &seed) in s.iter().enumerate() {
@@ -98,7 +97,7 @@ fn run_to_convergence_matches_scalar_per_lane() {
 #[test]
 fn unpipelined_lockstep_is_bit_exact() {
     let s = seeds(16);
-    let mut batch = GapRtlX64::new(GapRtlX64Config::unpipelined().recording(), &s);
+    let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::unpipelined().recording(), &s);
     let mut scalars: Vec<GapRtl> = s
         .iter()
         .map(|&seed| GapRtl::new(GapRtlConfig::unpipelined(seed)))
@@ -119,7 +118,7 @@ fn unpipelined_lockstep_is_bit_exact() {
 fn partial_batches_match_scalar() {
     for n in [1usize, 5, 33] {
         let s = seeds(n);
-        let mut batch = GapRtlX64::new(GapRtlX64Config::paper().recording(), &s);
+        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper().recording(), &s);
         for _ in 0..8 {
             batch.step_generation();
         }
@@ -140,7 +139,7 @@ fn partial_batches_match_scalar() {
 fn seu_injection_via_lane_masks_matches_scalar() {
     let s = seeds(LANES);
     let bits = GapParams::paper().population_bits() as u32;
-    let mut batch = GapRtlX64::new(GapRtlX64Config::paper(), &s);
+    let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
     let mut batch_faults: Vec<CaRngRtl> = s
         .iter()
         .map(|&seed| CaRngRtl::new(seed ^ 0xA5A5_5A5A))
@@ -173,9 +172,9 @@ fn seu_injection_via_lane_masks_matches_scalar() {
 fn wide_lanes_match_the_x64_engine<P: Plane>(generations: usize) {
     let s = seeds(P::LANES);
     let mut wide = GapRtlXW::<P>::new(GapRtlXWConfig::paper().recording(), &s);
-    let mut chunks: Vec<GapRtlX64> = s
+    let mut chunks: Vec<GapRtlXW<u64>> = s
         .chunks(LANES)
-        .map(|c| GapRtlX64::new(GapRtlX64Config::paper().recording(), c))
+        .map(|c| GapRtlXW::<u64>::new(GapRtlXWConfig::paper().recording(), c))
         .collect();
     for gen in 0..generations {
         wide.step_generation();

@@ -5,8 +5,7 @@
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{Genome, GENOME_MASK};
 use leonardo_rtl::bitslice::{
-    CaRngX64, CaRngXW, FitnessUnitX64, FitnessUnitXW, GapRtlX64, GapRtlX64Config, GapRtlXW,
-    GapRtlXWConfig, Plane, LANES, W128, W256, W512,
+    CaRngXW, FitnessUnitXW, GapRtlXW, GapRtlXWConfig, Plane, LANES, W128, W256, W512,
 };
 use leonardo_rtl::fitness_rtl::FitnessUnit;
 use leonardo_rtl::rng_rtl::CaRngRtl;
@@ -24,7 +23,7 @@ proptest! {
         schedule in prop::collection::vec(any::<u64>(), 40),
     ) {
         let seeds = &all_seeds[..n_lanes];
-        let mut sliced = CaRngX64::new(seeds);
+        let mut sliced = CaRngXW::<u64>::new(seeds);
         let mut scalars: Vec<CaRngRtl> =
             seeds.iter().map(|&s| CaRngRtl::new(s)).collect();
         let mut clocks = vec![0u64; seeds.len()];
@@ -51,7 +50,7 @@ proptest! {
     ) {
         let mut genomes = [0u64; LANES];
         genomes.copy_from_slice(&raw);
-        let sliced = FitnessUnitX64::paper();
+        let sliced = FitnessUnitXW::<u64>::paper();
         let scalar = FitnessUnit::paper();
         let scores = sliced.evaluate_lanes(&genomes);
         for l in 0..LANES {
@@ -76,7 +75,7 @@ proptest! {
             symmetry_weight: ws,
             coherence_weight: wc,
         };
-        let scores = FitnessUnitX64::new(spec).evaluate_lanes(&genomes);
+        let scores = FitnessUnitXW::<u64>::new(spec).evaluate_lanes(&genomes);
         let scalar = FitnessUnit::new(spec);
         for l in 0..LANES {
             prop_assert_eq!(scores[l], scalar.evaluate(Genome::from_bits(genomes[l])));
@@ -160,7 +159,7 @@ proptest! {
         mask in any::<u64>(),
     ) {
         let seeds: Vec<u32> = (0..LANES as u32).map(|i| 0x77 + 13 * i).collect();
-        let mut gap = GapRtlX64::new(GapRtlX64Config::paper(), &seeds);
+        let mut gap = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &seeds);
         let before: Vec<_> = (0..LANES).map(|l| gap.population(l)).collect();
         gap.inject_upset(pos, mask);
         for (l, before_l) in before.iter().enumerate() {

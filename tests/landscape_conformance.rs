@@ -5,7 +5,7 @@
 //!
 //! 1. the scalar behavioural spec (`discipulus::fitness::FitnessSpec`),
 //! 2. the scalar RTL combinational unit (`leonardo_rtl::FitnessUnit`),
-//! 3. the 64-lane bit-sliced unit (`FitnessUnitX64::evaluate_lanes`),
+//! 3. the 64-lane bit-sliced unit (`FitnessUnitXW::<u64>::evaluate_lanes`),
 //! 4. the 64-lane landscape block kernel (`BlockKernel`, the
 //!    consecutive-genome plane path the SAT miter proves),
 //!
@@ -21,7 +21,7 @@
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
 use leonardo_landscape::{BlockKernel, BlockKernelW, SweepPlane};
-use leonardo_rtl::bitslice::{FitnessUnitX64, LANES};
+use leonardo_rtl::bitslice::{FitnessUnitXW, LANES};
 use leonardo_rtl::fitness_rtl::FitnessUnit;
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ fn assert_four_way(kernel: &mut BlockKernel, wide: &mut BlockKernelW<SweepPlane>
     let rtl = FitnessUnit::paper().evaluate(Genome::from_bits(genome));
     let mut lanes = [genome; LANES];
     lanes[0] = genome; // explicit: lane 0 carries the genome under test
-    let sliced = FitnessUnitX64::paper().evaluate_lanes(&lanes)[0];
+    let sliced = FitnessUnitXW::<u64>::paper().evaluate_lanes(&lanes)[0];
     let block = genome / LANES as u64;
     let lane = (genome % LANES as u64) as usize;
     let swept = kernel.block_fitness(block)[lane];
@@ -93,7 +93,7 @@ proptest! {
     ) {
         let spec = FitnessSpec::paper();
         let rtl = FitnessUnit::paper();
-        let sliced = FitnessUnitX64::paper();
+        let sliced = FitnessUnitXW::<u64>::paper();
         let mut kernel = BlockKernel::new(spec);
         let mut wide = BlockKernelW::<SweepPlane>::new(spec);
         let mut lanes = [0u64; LANES];

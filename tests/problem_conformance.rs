@@ -17,8 +17,8 @@
 //! pinned here.
 
 use evo::evolvable::EvolvableProblem;
-use leonardo_problems::{problem_registry, KernelPlane, ProblemSpec};
-use leonardo_rtl::bitslice::{W128, W256, W512};
+use leonardo_problems::{problem_registry, ProblemSpec};
+use leonardo_rtl::bitslice::{Plane, W128, W256, W512};
 use proptest::prelude::*;
 
 /// Every problem this suite pins — kept equal to the registry by
@@ -49,7 +49,7 @@ fn scatter(n: usize, salt: u64) -> Vec<u64> {
 
 /// Pin kernel-vs-scalar equality for `spec` at width `P` over `genomes`,
 /// batch by batch, lane by lane.
-fn pin_kernel_against_scalar<P: KernelPlane>(spec: &'static ProblemSpec, genomes: &[u64]) {
+fn pin_kernel_against_scalar<P: Plane>(spec: &'static ProblemSpec, genomes: &[u64]) {
     let problem = (spec.make)();
     let mut kernel = spec.kernel::<P>();
     assert_eq!(kernel.width(), spec.width, "{}", spec.name);
