@@ -31,8 +31,11 @@
 //! The plane-op row times, at every width, the GA engine's hottest plane
 //! loops one call at a time: a CA clock of every lane, a masked clock
 //! (a retry round's), a stride-37 jump (the crossover copy's 36 dead
-//! cycles plus the next draw) and one score gather over a 32-individual
-//! population. It is where a codegen change to those loops shows up
+//! cycles plus the next draw), one score gather over a 32-individual
+//! population, and the two lane↔plane conversions the engine runs most:
+//! one lane-major column into 36 genome planes (a fitness evaluation's
+//! input) and 11 planes back to per-lane `u16`s (a mutation-position
+//! read-back). It is where a codegen change to those loops shows up
 //! before it reaches the matrix.
 //!
 //! Every timing is the median over `--reps` runs.
@@ -46,10 +49,12 @@
 //! Usage: `perf_report [--trials N] [--max-gens G] [--reps R] [--out FILE]`
 
 use discipulus::fitness::FitnessSpec;
+use discipulus::genome::GENOME_BITS;
 use leonardo_bench::harness::trial_seeds;
 use leonardo_exec::arg_or;
 use leonardo_landscape::kernel::BLOCK_GENOMES;
 use leonardo_landscape::{BlockKernelW, SweepConfig, SweepPlane, Tally};
+use leonardo_rtl::bitslice::transpose::{planes_to_u16, transposed_planes};
 use leonardo_rtl::bitslice::{
     gather_scores, CaRngXW, GapRtlXW, GapRtlXWConfig, Plane, SCORE_PLANES, W128, W256, W512,
 };
@@ -212,6 +217,8 @@ struct PlaneOps {
     masked_clock_ns: f64,
     jump37_ns: f64,
     gather_ns: f64,
+    to_planes_ns: f64,
+    to_u16_ns: f64,
 }
 
 impl PlaneOps {
@@ -259,20 +266,50 @@ impl PlaneOps {
                 black_box(gather_scores(black_box(&mux), &mut stack, planes));
             }
         });
+        let gather_ns = ns(wall, PLANE_OP_CALLS);
+        // a lane-major column of 36-bit genomes into its 36 planes, then
+        // 11 of those planes back to one u16 per lane
+        let column: Vec<u64> = (0..P::LANES as u64)
+            .map(|l| (l + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 28)
+            .collect();
+        let mut planes = [P::ZERO; GENOME_BITS];
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..PLANE_OP_CALLS {
+                transposed_planes(black_box(&column), &mut planes);
+                black_box(&planes);
+            }
+        });
+        let to_planes_ns = ns(wall, PLANE_OP_CALLS);
+        let mut words = vec![0u16; P::LANES];
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..PLANE_OP_CALLS {
+                planes_to_u16(black_box(&planes[..11]), &mut words);
+                black_box(&words);
+            }
+        });
         PlaneOps {
             lanes: P::LANES,
             clock_ns,
             masked_clock_ns,
             jump37_ns,
-            gather_ns: ns(wall, PLANE_OP_CALLS),
+            gather_ns,
+            to_planes_ns,
+            to_u16_ns: ns(wall, PLANE_OP_CALLS),
         }
     }
 
     fn to_json(&self) -> String {
         format!(
             "{{ \"plane_width\": {}, \"clock_ns\": {:.2}, \"masked_clock_ns\": {:.2}, \
-             \"jump37_ns\": {:.2}, \"gather_ns\": {:.2} }}",
-            self.lanes, self.clock_ns, self.masked_clock_ns, self.jump37_ns, self.gather_ns
+             \"jump37_ns\": {:.2}, \"gather_ns\": {:.2}, \"to_planes_ns\": {:.2}, \
+             \"to_u16_ns\": {:.2} }}",
+            self.lanes,
+            self.clock_ns,
+            self.masked_clock_ns,
+            self.jump37_ns,
+            self.gather_ns,
+            self.to_planes_ns,
+            self.to_u16_ns
         )
     }
 }
@@ -408,8 +445,15 @@ fn main() {
     ];
     for o in &plane_ops {
         eprintln!(
-            "  w{:<4} clock {:>7.1}  masked {:>7.1}  jump37 {:>8.1}  gather {:>7.1}",
-            o.lanes, o.clock_ns, o.masked_clock_ns, o.jump37_ns, o.gather_ns
+            "  w{:<4} clock {:>7.1}  masked {:>7.1}  jump37 {:>8.1}  gather {:>7.1}  \
+             to_planes {:>7.1}  to_u16 {:>7.1}",
+            o.lanes,
+            o.clock_ns,
+            o.masked_clock_ns,
+            o.jump37_ns,
+            o.gather_ns,
+            o.to_planes_ns,
+            o.to_u16_ns
         );
     }
 

@@ -27,10 +27,11 @@
 //!   ([`FitnessUnitXW`]): 36 transposed genome-bit planes flow through the
 //!   same boolean algebra as the scalar unit, with carry-save counters
 //!   replacing popcounts, scoring `P::LANES` genomes per call;
-//! * populations and scores stay **lane-major** ([`RamXW`]), because
-//!   selection and mutation address them with per-lane divergent indices;
-//!   the per-limb 64×64 bit-matrix transpose
-//!   ([`transpose::transposed_planes`]) bridges the two layouts on demand.
+//! * populations stay **lane-major** ([`RamXW`]), because selection and
+//!   mutation address them with per-lane divergent indices; a whole-plane
+//!   64×64 bit-matrix transpose ([`transpose::transposed_planes`], one
+//!   plane op per step at every width) bridges the two layouts on demand,
+//!   and fresh genomes are scored from the planes they were drawn as.
 //!
 //! Lanes diverge in *time* (mask-and-reject draws retry per lane, the
 //! crossover decision draws a cut point only on success), which is handled

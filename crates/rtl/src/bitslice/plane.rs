@@ -24,14 +24,26 @@
 //!   (`w in 0..P::WORDS`, reading limbs through [`Plane::word`]) whose
 //!   body is the whole update written out per cell with `each_cell!`.
 //!   The loop vectorizer then maps the limb loop onto vector registers:
-//!   one vector op per plane op ([`CaRngXW::clock`](super::CaRngXW::clock),
-//!   `clock_free`, the jump's nibble tables);
+//!   one vector op per plane op
+//!   ([`CaRngXW::clock_free`](super::CaRngXW::clock_free), the jump's
+//!   nibble tables);
+//! - **whole-plane, straight-line**: the update written out per cell with
+//!   `each_cell!` on whole planes, no limb loop. The masked
+//!   [`CaRngXW::clock`](super::CaRngXW::clock) takes this shape: with the
+//!   mask blend added, LLVM fully unrolled the two-limb loop of a `W128`
+//!   and left it scalar;
 //! - **a chain each step depends on**: the gather's leaf-by-leaf walk, the
 //!   comparators' and counters' carry chains, each step a whole-node
 //!   update ([`gather_scores`](super::gather_scores));
-//! - where neither fits, an opaque index (`std::hint::black_box`) on the
-//!   jump's row loop, which keeps each row's eight table lookups whole
-//!   loads instead of gathers.
+//! - **a loop index LLVM does not follow**: the transpose's row-pair walk
+//!   (`k = ((k | j) + 1) & !j` in
+//!   [`transpose64`](super::transpose::transpose64)), each step one
+//!   whole-plane op on two rows. Written as a counted `for k in
+//!   base..base + j`, it was vectorized across rows and ran 1.3–3× slower
+//!   on every wide plane;
+//! - where none of these fits, an opaque index (`std::hint::black_box`)
+//!   on the jump's row loop, which keeps each row's eight table lookups
+//!   whole loads instead of gathers.
 //!
 //! `perf_report`'s `plane_ops` row (median ns per call, median of five
 //! runs on a 2-core AVX-512 host) before → after these shapes:
@@ -42,6 +54,16 @@
 //! | W128 | 36.2 → 17.6 | 43.9 → 45.9 | 337 → 250 | 226 → 125 |
 //! | W256 | 112 → 26.5 | 111 → 26.3 | 539 → 282 | 468 → 148 |
 //! | W512 | 199 → 49.4 | 241 → 49.9 | 1449 → 493 | 941 → 262 |
+//!
+//! and before → after the whole-plane transpose, the whole-plane
+//! multiply-spread read-back and the whole-plane masked clock (same
+//! host, parent and change alternating):
+//!
+//! | row | u64 | W128 | W256 | W512 |
+//! |---|---|---|---|---|
+//! | transpose, column → 36 planes | 169 → 171 | 341 → 225 | 702 → 261 | 1383 → 586 |
+//! | read-back, 11 planes → `u16` | 123 → 97 | 320 → 178 | 560 → 294 | 1117 → 667 |
+//! | masked clock | 12.9 → 13.5 | 26.6 → 18.0 | 18.3 → 18.8 | 40.4 → 37.7 |
 //!
 //! A `Plane` doubles as the **lane mask** of its own width: bit `l`
 //! selects lane `l`, exactly like the 64-lane [`super::LaneMask`]. All

@@ -133,8 +133,10 @@ impl<P: Plane> CaRngXW<P> {
     }
 
     /// One clock edge for the lanes in `mask`; all other lanes hold.
-    /// Written limb by limb with the 32 cell updates straight-line (see the
-    /// codegen rule in [`crate::bitslice::plane`]).
+    /// Written as the 32 cell updates straight-line on whole planes, each
+    /// cell XOR-ing in its change under the mask (see the codegen rule in
+    /// [`crate::bitslice::plane`]): with the mask added, the limb-major
+    /// form of [`Self::clock_free`] stays scalar at two limbs.
     #[inline]
     pub fn clock(&mut self, mask: P) {
         if mask == P::ONES {
@@ -142,16 +144,15 @@ impl<P: Plane> CaRngXW<P> {
             return;
         }
         let c = &mut self.cells;
-        for w in 0..P::WORDS {
-            let m = mask.word(w);
-            let mut left = 0u64;
-            each_cell!(i => {
-                let cell = c[i].word(w);
-                let right = c.get(i + 1).map_or(0, |r| r.word(w));
-                let next = next_cell(std::mem::replace(&mut left, cell), cell, right, i);
-                c[i].set_word(w, (next & m) | (cell & !m));
-            });
-        }
+        let mut left = P::ZERO;
+        each_cell!(i => {
+            let cell = c[i];
+            let right = c.get(i + 1).copied().unwrap_or(P::ZERO);
+            let left = std::mem::replace(&mut left, cell);
+            // next ⊕ cell: a rule-150 cell's own tap cancels
+            let change = if self_tap(i) { left ^ right } else { left ^ cell ^ right };
+            c[i] = cell ^ (change & mask);
+        });
     }
 
     /// One clock edge for every lane — the blend-free fast path.

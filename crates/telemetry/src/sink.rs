@@ -237,11 +237,6 @@ impl Aggregator {
             .collect()
     }
 
-    /// Total number of structured events captured.
-    pub fn event_count(&self) -> usize {
-        unpoison(self.state.lock()).events.len()
-    }
-
     /// Human-readable summary of everything recorded — the "summary
     /// sink": counters, observation statistics and event counts by name.
     pub fn summary(&self) -> String {
@@ -406,7 +401,7 @@ mod tests {
         agg.record(&ev("other", Payload::Fields(&[])));
         let trials = agg.events("bench.trial");
         assert_eq!(trials.len(), 2);
-        assert_eq!(agg.event_count(), 3);
+        assert_eq!(agg.events("other").len(), 1);
         let x64: Vec<_> = trials
             .iter()
             .filter(|e| e.str_field("engine") == Some("x64"))
