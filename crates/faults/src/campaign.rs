@@ -29,7 +29,7 @@
 use crate::injector::Injector;
 use crate::model::{Fault, FaultModel};
 use crate::rng::FaultRng;
-use leonardo_rtl::bitslice::{lanes, LaneMask};
+use leonardo_rtl::bitslice::Plane;
 use leonardo_telemetry as tele;
 use leonardo_telemetry::json::Json;
 
@@ -129,16 +129,16 @@ impl Campaign {
             if self.model.is_persistent() {
                 // a stepped generation rewrites the population; the stuck
                 // nodes reassert themselves
-                for l in lanes(running) {
+                running.for_each_set_lane(|l| {
                     for f in stuck[l].clone() {
                         faulted.inject(l, f);
                     }
-                }
+                });
             }
             accumulator += self.rate;
             while accumulator >= 1.0 {
                 accumulator -= 1.0;
-                for l in lanes(running) {
+                running.for_each_set_lane(|l| {
                     let fault = Fault {
                         model: self.model,
                         pos: fault_rngs[l].draw_below(bits) as usize,
@@ -161,7 +161,7 @@ impl Campaign {
                             ],
                         );
                     }
-                }
+                });
             }
             if let Some(tr) = traces.as_mut() {
                 for (l, lane_trace) in tr.iter_mut().enumerate() {
@@ -186,7 +186,7 @@ impl Campaign {
         // always survive the whole window.
         let mut dwell = vec![self.dwell_window; n];
         if self.dwell_window > 0 {
-            let mut standing: LaneMask = 0;
+            let mut standing = 0u64;
             for l in 0..n {
                 if faulted.converged(l) {
                     standing |= 1u64 << l;
@@ -199,21 +199,22 @@ impl Campaign {
                 accumulator += self.rate;
                 while accumulator >= 1.0 {
                     accumulator -= 1.0;
-                    for l in lanes(standing) {
+                    standing.for_each_set_lane(|l| {
                         let fault = Fault {
                             model: self.model,
                             pos: fault_rngs[l].draw_below(bits) as usize,
                         };
                         faulted.inject(l, fault);
                         injected[l] += 1;
-                    }
+                    });
                 }
-                for l in lanes(standing) {
+                // the iteration runs over a copy of `standing`
+                standing.for_each_set_lane(|l| {
                     if !faulted.best_is_genuine_max(l) {
                         dwell[l] = t;
                         standing &= !(1u64 << l);
                     }
-                }
+                });
             }
         }
 

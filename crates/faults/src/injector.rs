@@ -18,7 +18,7 @@
 use crate::model::{AppliedFault, Fault, FaultModel};
 use discipulus::genome::Genome;
 use discipulus::params::GapParams;
-use leonardo_rtl::bitslice::{GapRtlXW, LaneMask};
+use leonardo_rtl::bitslice::GapRtlXW;
 use leonardo_rtl::gap_rtl::{GapRtl, GapRtlConfig};
 
 /// A multi-lane GAP engine that supports deterministic fault injection.
@@ -44,12 +44,13 @@ pub trait Injector {
     /// Force the stored bit at `pos` of `model`'s domain on `lane`.
     fn set_fault_bit(&mut self, lane: usize, model: FaultModel, pos: usize, value: bool);
 
-    /// Advance the lanes of `mask` by one generation; all others hold.
-    fn step_lanes(&mut self, mask: LaneMask);
+    /// Advance the lanes of `mask` (bit `l` selects lane `l`) by one
+    /// generation; all others hold.
+    fn step_lanes(&mut self, mask: u64);
 
     /// Mask of lanes still worth stepping: not converged and under the
     /// generation budget.
-    fn running_mask(&self, max_generations: u64) -> LaneMask;
+    fn running_mask(&self, max_generations: u64) -> u64;
 
     /// Whether one lane's best-fitness register reads maximal.
     fn converged(&self, lane: usize) -> bool;
@@ -128,13 +129,13 @@ impl Injector for GapRtl {
         }
     }
 
-    fn step_lanes(&mut self, mask: LaneMask) {
+    fn step_lanes(&mut self, mask: u64) {
         if mask & 1 != 0 {
             self.step_generation();
         }
     }
 
-    fn running_mask(&self, max_generations: u64) -> LaneMask {
+    fn running_mask(&self, max_generations: u64) -> u64 {
         u64::from(!GapRtl::converged(self) && GapRtl::generation(self) < max_generations)
     }
 
@@ -190,11 +191,11 @@ impl Injector for GapRtlXW<u64> {
         }
     }
 
-    fn step_lanes(&mut self, mask: LaneMask) {
+    fn step_lanes(&mut self, mask: u64) {
         self.step_generation_masked(mask);
     }
 
-    fn running_mask(&self, max_generations: u64) -> LaneMask {
+    fn running_mask(&self, max_generations: u64) -> u64 {
         GapRtlXW::running_mask(self, max_generations)
     }
 
@@ -271,7 +272,7 @@ impl Injector for ScalarBank {
         self.chips[lane].set_fault_bit(0, model, pos, value);
     }
 
-    fn step_lanes(&mut self, mask: LaneMask) {
+    fn step_lanes(&mut self, mask: u64) {
         for (l, chip) in self.chips.iter_mut().enumerate() {
             if mask >> l & 1 == 1 {
                 chip.step_generation();
@@ -279,7 +280,7 @@ impl Injector for ScalarBank {
         }
     }
 
-    fn running_mask(&self, max_generations: u64) -> LaneMask {
+    fn running_mask(&self, max_generations: u64) -> u64 {
         let mut m = 0u64;
         for (l, chip) in self.chips.iter().enumerate() {
             if Injector::running_mask(chip, max_generations) != 0 {

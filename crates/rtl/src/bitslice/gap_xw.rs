@@ -21,7 +21,7 @@
 //!    one extra cycle while accepted lanes hold (and keep their accepted
 //!    value in the generator); each retry cycle is counted per lane in a
 //!    bit-sliced per-phase counter that reaches the per-lane cycle
-//!    counters once per step;
+//!    breakdowns once per step;
 //! 2. the crossover decision draws a cut point only on success — the cut
 //!    draw runs under the success mask;
 //! 3. convergence: finished lanes freeze wholesale (their columns are
@@ -49,7 +49,7 @@ use crate::bitslice::ram_xw::RamXW;
 use crate::bitslice::rng_xw::CaRngXW;
 use crate::bitslice::transpose::{planes_to_bytes, planes_to_lanes, planes_to_u16};
 use crate::bitslice::LANES;
-use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState};
+use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState, Phase};
 use crate::resources::{ResourceReport, Resources};
 use discipulus::gap::Population;
 use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
@@ -110,16 +110,6 @@ impl GapRtlXWConfig {
     }
 }
 
-/// Which phase a cycle belongs to (breakdown accounting).
-#[derive(Clone, Copy)]
-enum Phase {
-    Init,
-    Fitness,
-    Reproduce,
-    Mutate,
-    Overhead,
-}
-
 /// Every phase, in `Phase as usize` order.
 const PHASES: [Phase; 5] = [
     Phase::Init,
@@ -128,16 +118,6 @@ const PHASES: [Phase; 5] = [
     Phase::Mutate,
     Phase::Overhead,
 ];
-
-fn phase_field(b: &mut CycleBreakdown, phase: Phase) -> &mut u64 {
-    match phase {
-        Phase::Init => &mut b.init,
-        Phase::Fitness => &mut b.fitness,
-        Phase::Reproduce => &mut b.reproduce,
-        Phase::Mutate => &mut b.mutate,
-        Phase::Overhead => &mut b.overhead,
-    }
-}
 
 /// Bit planes of a sliced per-lane cycle counter (counts below 2¹⁶).
 const COUNT_PLANES: usize = 16;
@@ -179,7 +159,7 @@ impl<P: Plane> SlicedCount<P> {
 
 /// Per-step cycle accounting: cycles common to every active lane
 /// accumulate once in `uniform`, divergent (subset-masked) draw cycles in
-/// one sliced counter per phase, and both reach the per-lane counters
+/// one sliced counter per phase, and both reach the per-lane breakdowns
 /// when the step ends.
 struct Acct<P: Plane> {
     active: P,
@@ -335,12 +315,12 @@ pub struct GapRtlXW<P: Plane> {
     /// (`scores[i][p]` = score bit `p` of individual `i`, every lane).
     scores: Vec<[P; SCORE_PLANES]>,
     best_genome: Vec<u64>,
-    best_fitness: Vec<u32>,
-    /// The best-fitness registers again, as score planes — the sliced
-    /// operand of the strict-improvement comparator.
+    /// The best-fitness registers, as score planes (`best_planes[p]` =
+    /// bit `p` of every lane's best fitness): the operand of the
+    /// strict-improvement and convergence comparators.
     best_planes: [P; SCORE_PLANES],
     generation: Vec<u64>,
-    cycles: Vec<u64>,
+    /// Per-lane cycle accounting; a lane's total is its cycle count.
     breakdown: Vec<CycleBreakdown>,
     drawn_log: Option<Vec<Vec<u32>>>,
     /// Dead cycles accounted but not yet applied to the RNG; settled as
@@ -392,10 +372,8 @@ impl<P: Plane> GapRtlXW<P> {
                 gap.basis.write_lane(i, l, g);
             }
             gap.best_genome[l] = s.best_genome;
-            gap.best_fitness[l] = s.best_fitness;
             set_plane_value(&mut gap.best_planes, l, s.best_fitness);
             gap.generation[l] = s.generation;
-            gap.cycles[l] = s.cycles;
             gap.breakdown[l] = s.breakdown;
         }
         gap.score_basis(P::ONES);
@@ -420,9 +398,8 @@ impl<P: Plane> GapRtlXW<P> {
                 .map(|i| self.basis.peek(i, lane))
                 .collect(),
             best_genome: self.best_genome[lane],
-            best_fitness: self.best_fitness[lane],
+            best_fitness: plane_value(&self.best_planes, lane),
             generation: self.generation[lane],
-            cycles: self.cycles[lane],
             breakdown: self.breakdown[lane],
         }
     }
@@ -454,10 +431,8 @@ impl<P: Plane> GapRtlXW<P> {
             intermediate: RamXW::new(n, 36),
             scores: vec![[P::ZERO; SCORE_PLANES]; n],
             best_genome: vec![0u64; P::LANES],
-            best_fitness: vec![0u32; P::LANES],
             best_planes: [P::ZERO; SCORE_PLANES],
             generation: vec![0u64; P::LANES],
-            cycles: vec![0u64; P::LANES],
             breakdown: vec![CycleBreakdown::default(); P::LANES],
             drawn_log: config.record_draws.then(|| vec![Vec::new(); P::LANES]),
             rng_owed: 0,
@@ -468,7 +443,7 @@ impl<P: Plane> GapRtlXW<P> {
     }
 
     /// Recycle one lane for a fresh trial: reseed its RNG, rerun the
-    /// initiator and first fitness scan on that lane alone (every other
+    /// initiator and first fitness phase on that lane alone (every other
     /// lane holds), and zero its counters. Afterwards the lane is
     /// bit-exact with a brand-new `GapRtl` seeded `seed` — this is what
     /// lets a convergence-sampling driver keep every lane busy instead
@@ -503,11 +478,7 @@ impl<P: Plane> GapRtlXW<P> {
             self.enabled |= P::lane_bit(lane);
             self.rng.seed_lane(lane, seed);
             self.generation[lane] = 0;
-            self.cycles[lane] = 0;
             self.breakdown[lane] = CycleBreakdown::default();
-            self.best_genome[lane] = 0;
-            self.best_fitness[lane] = 0;
-            set_plane_value(&mut self.best_planes, lane, 0);
             if let Some(log) = self.drawn_log.as_mut() {
                 log[lane].clear();
             }
@@ -526,10 +497,8 @@ impl<P: Plane> GapRtlXW<P> {
         if u.total() == 0 {
             return;
         }
-        let cycles = &mut self.cycles;
         let breakdown = &mut self.breakdown;
         acct.active.for_each_set_lane(|l| {
-            cycles[l] += u.total();
             let b = &mut breakdown[l];
             b.init += u.init;
             b.fitness += u.fitness;
@@ -539,9 +508,9 @@ impl<P: Plane> GapRtlXW<P> {
         });
     }
 
-    /// Post the sliced divergent-draw counts to the per-lane counters and
-    /// clear them: one extraction and one pass over the active lanes per
-    /// phase that had any.
+    /// Post the sliced divergent-draw counts to the per-lane breakdowns
+    /// and clear them: one extraction and one pass over the active lanes
+    /// per phase that had any.
     fn flush_divergent(&mut self, acct: &mut Acct<P>) {
         let active = acct.active;
         for (&phase, count) in PHASES.iter().zip(&mut acct.divergent) {
@@ -550,13 +519,8 @@ impl<P: Plane> GapRtlXW<P> {
             }
             planes_to_u16(&count.planes, &mut self.u16_buf);
             *count = SlicedCount::ZERO;
-            let (counts, cycles, breakdown) =
-                (&self.u16_buf, &mut self.cycles, &mut self.breakdown);
-            active.for_each_set_lane(|l| {
-                let n = u64::from(counts[l]);
-                cycles[l] += n;
-                *phase_field(&mut breakdown[l], phase) += n;
-            });
+            let (counts, breakdown) = (&self.u16_buf, &mut self.breakdown);
+            active.for_each_set_lane(|l| *breakdown[l].phase_mut(phase) += u64::from(counts[l]));
         }
     }
 
@@ -584,7 +548,7 @@ impl<P: Plane> GapRtlXW<P> {
     /// now, owe the RNG the advancement. Dead cycles are always uniform
     /// across the active set, which is what makes the deferral sound.
     fn advance_dead(&mut self, acct: &mut Acct<P>, phase: Phase, n: u64) {
-        *phase_field(&mut acct.uniform, phase) += n;
+        *acct.uniform.phase_mut(phase) += n;
         self.rng_owed += n;
     }
 
@@ -595,7 +559,7 @@ impl<P: Plane> GapRtlXW<P> {
             let n = self.rng_owed + 1;
             self.rng_owed = 0;
             self.rng_advance(mask, n);
-            *phase_field(&mut acct.uniform, phase) += 1;
+            *acct.uniform.phase_mut(phase) += 1;
         } else {
             // divergent draw (retry or cut): settle the debt for the whole
             // active set first, then step only the drawing lanes and count
@@ -701,17 +665,17 @@ impl<P: Plane> GapRtlXW<P> {
         }
         // the first fitness phase: a fresh chip first power-on-latches
         // individual 0 into its best register (no cycles)
-        let (basis, scores) = (&self.basis, &self.scores);
-        let bg = &mut self.best_genome;
-        let bf = &mut self.best_fitness;
-        let bp = &mut self.best_planes;
-        a.for_each_set_lane(|l| {
-            bg[l] = basis.peek(0, l);
-            let v = plane_value(&scores[0], l);
-            bf[l] = v;
-            set_plane_value(bp, l, v);
-        });
+        self.latch_best(0, a);
         self.scan_scores(acct, a);
+    }
+
+    /// Latch individual `i` into the best registers of the lanes of
+    /// `lanes`: its score planes in one whole-plane blend, its genome lane
+    /// by lane.
+    fn latch_best(&mut self, i: usize, lanes: P) {
+        self.best_planes = mux_node(&self.scores[i], &self.best_planes, lanes);
+        let (basis, bg) = (&self.basis, &mut self.best_genome);
+        lanes.for_each_set_lane(|l| bg[l] = basis.peek(i, l));
     }
 
     /// Fitness phase of a step: 2 cycles per individual, bit-sliced
@@ -743,25 +707,15 @@ impl<P: Plane> GapRtlXW<P> {
 
     /// The fitness phase's cycles (address + data/commit per individual)
     /// and its strict-improvement best-register scan over the stored
-    /// scores, ascending, for the lanes of `lanes`. The scan is entirely
-    /// sliced: one 5-plane comparator replaces per-lane
-    /// load-compare-branch iterations.
+    /// scores, ascending, for the lanes of `lanes`. The scan is sliced:
+    /// one 5-plane comparator picks the improving lanes, whose best
+    /// registers latch the individual.
     fn scan_scores(&mut self, acct: &mut Acct<P>, lanes: P) {
         for i in 0..self.config.params.population_size {
             self.advance_dead(acct, Phase::Fitness, 2);
-            let f = self.scores[i];
-            let gt = gt_planes(&f, &self.best_planes) & lanes;
+            let gt = gt_planes(&self.scores[i], &self.best_planes) & lanes;
             if !gt.is_zero() {
-                let basis = &self.basis;
-                let bg = &mut self.best_genome;
-                let bf = &mut self.best_fitness;
-                let bp = &mut self.best_planes;
-                gt.for_each_set_lane(|l| {
-                    let v = plane_value(&f, l);
-                    bf[l] = v;
-                    bg[l] = basis.peek(i, l);
-                    set_plane_value(bp, l, v);
-                });
+                self.latch_best(i, gt);
             }
         }
     }
@@ -951,18 +905,15 @@ impl<P: Plane> GapRtlXW<P> {
                 );
             }
             let fresh = self.converged_mask() & !converged_before;
-            let generation = &self.generation;
-            let cycles = &self.cycles;
-            let best_fitness = &self.best_fitness;
             fresh.for_each_set_lane(|l| {
                 tele::emit(
                     tele::Level::Metric,
                     "rtl.x64.lane_converged",
                     &[
                         ("lane", l.into()),
-                        ("generation", generation[l].into()),
-                        ("cycles", cycles[l].into()),
-                        ("best", best_fitness[l].into()),
+                        ("generation", self.generation[l].into()),
+                        ("cycles", self.cycles(l).into()),
+                        ("best", plane_value(&self.best_planes, l).into()),
                     ],
                 );
             });
@@ -979,16 +930,13 @@ impl<P: Plane> GapRtlXW<P> {
     /// The mask of enabled lanes still worth stepping: not converged and
     /// under the generation budget.
     pub fn running_mask(&self, max_generations: u64) -> P {
-        let mut active = P::ZERO;
-        let best = &self.best_fitness;
-        let gen = &self.generation;
-        let max = self.max_fitness;
-        self.enabled.for_each_set_lane(|l| {
-            if best[l] != max && gen[l] < max_generations {
-                active.set_bit(l, true);
+        let mut running = self.enabled & !self.converged_mask();
+        running.for_each_set_lane(|l| {
+            if self.generation[l] >= max_generations {
+                running.set_bit(l, false);
             }
         });
-        active
+        running
     }
 
     /// Step the non-converged lanes until every enabled lane either holds
@@ -1012,27 +960,21 @@ impl<P: Plane> GapRtlXW<P> {
 
     /// Whether one lane's best register holds a maximal-fitness genome.
     pub fn converged(&self, lane: usize) -> bool {
-        self.best_fitness[lane] == self.max_fitness
+        self.best(lane).1 == self.max_fitness
     }
 
-    /// The mask of enabled lanes that have converged.
+    /// The mask of enabled lanes that have converged: one whole-plane
+    /// comparison of the best-fitness planes with the maximum.
     pub fn converged_mask(&self) -> P {
-        let mut m = P::ZERO;
-        let best = &self.best_fitness;
-        let max = self.max_fitness;
-        self.enabled.for_each_set_lane(|l| {
-            if best[l] == max {
-                m.set_bit(l, true);
-            }
-        });
-        m
+        let max_planes = std::array::from_fn(|p| P::splat(self.max_fitness >> p & 1 == 1));
+        self.enabled & cmp_planes(&self.best_planes, &max_planes).1
     }
 
     /// One lane's best individual register (genome, fitness).
     pub fn best(&self, lane: usize) -> (Genome, u32) {
         (
             Genome::from_bits(self.best_genome[lane]),
-            self.best_fitness[lane],
+            plane_value(&self.best_planes, lane),
         )
     }
 
@@ -1043,7 +985,7 @@ impl<P: Plane> GapRtlXW<P> {
 
     /// System cycles elapsed on one lane (the lane's `Clock`).
     pub fn cycles(&self, lane: usize) -> u64 {
-        self.cycles[lane]
+        self.breakdown[lane].total()
     }
 
     /// Per-phase cycle accounting for one lane.
@@ -1159,10 +1101,9 @@ impl<P: Plane> GapRtlXW<P> {
     }
 
     /// Force one bit of one lane's best-genome register, leaving the
-    /// best-fitness register (and its sliced plane mirror) alone — the
-    /// same silent-corruption semantics as the scalar port, so the
-    /// strict-improvement comparator behaves identically on both engines
-    /// afterwards.
+    /// best-fitness planes alone — the same silent-corruption semantics
+    /// as the scalar port, so the strict-improvement comparator behaves
+    /// identically on both engines afterwards.
     ///
     /// # Panics
     /// Panics if `lane ≥ P::LANES` or `bit ≥ 36`.
@@ -1650,22 +1591,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_to_convergence_freezes_lanes_at_their_own_generation() {
-        let s = seeds(8);
-        let mut batch = GapRtlXW::<u64>::new(GapRtlXWConfig::paper(), &s);
+    /// Bit `l` of the whole-plane masks against the per-lane reads, at
+    /// every lane (enabled or not) and each of `budgets`.
+    fn assert_masks_match_lanes<P: Plane>(gap: &GapRtlXW<P>, budgets: &[u64], ctx: &str) {
+        let (name, converged) = (P::NAME, gap.converged_mask());
+        for &b in budgets {
+            let running = gap.running_mask(b);
+            for l in 0..P::LANES {
+                assert_eq!(converged.bit(l), gap.converged(l), "{name} {ctx} lane {l}");
+                let want = gap.enabled().bit(l) && !gap.converged(l) && gap.generation(l) < b;
+                assert_eq!(running.bit(l), want, "{name} {ctx} budget {b} lane {l}");
+            }
+        }
+    }
+
+    fn check_run_to_convergence_freezes_lanes<P: Plane>() {
+        let mut batch = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &seeds(8));
+        // lanes in the middle and last limbs too, disabled lanes between
+        let (mid, last) = (P::LANES / 2 + 3, P::LANES - 1);
+        batch.reset_lanes(&[(mid, 0x2000), (last, 0x2001)]);
+        // uneven generations: the even lanes step three times, the rest once
+        for _ in 0..2 {
+            batch.step_generation_masked(P::from_words(|_| 0x5555_5555_5555_5555));
+        }
+        // upsets turn every individual of the last lane into the tripod,
+        // and one step's fitness phase raises its best to the maximum
+        let tripod = Genome::tripod().bits();
+        let pop = batch.population(last);
+        for i in 0..pop.len() {
+            let diff = pop.get(i).bits() ^ tripod;
+            for bit in (0..GENOME_BITS).filter(|&b| diff >> b & 1 == 1) {
+                batch.inject_upset(i * GENOME_BITS + bit, P::lane_bit(last));
+            }
+        }
+        assert!(!batch.converged(last), "{}", P::NAME);
+        batch.step_generation();
+        let max = GapParams::paper().fitness.max_fitness();
+        assert!(batch.converged(last), "{} upset lane", P::NAME);
+        assert_eq!(batch.best(last).1, max);
+        let gens = [0, batch.generation(0), batch.generation(1), u64::MAX];
+        assert_ne!(gens[1], gens[2]);
+        assert_masks_match_lanes(&batch, &gens, "mid-run");
         let converged = batch.run_to_convergence(50_000);
-        assert_eq!(converged, 0xFF, "all 8 lanes should converge");
-        for l in 0..8 {
-            assert!(batch.converged(l));
+        assert_eq!(converged, batch.enabled(), "{} converged", P::NAME);
+        assert_masks_match_lanes(&batch, &gens, "converged");
+        let lanes: Vec<usize> = (0..8).chain([mid, last]).collect();
+        for &l in &lanes {
             let (g, f) = batch.best(l);
-            assert_eq!(f, GapParams::paper().fitness.max_fitness());
-            assert!(GapParams::paper().fitness.is_max(g));
+            assert!(f == max && GapParams::paper().fitness.is_max(g), "lane {l}");
         }
         // lanes converge at different generations — the whole point of
         // per-lane freezing
-        let gens: Vec<u64> = (0..8).map(|l| batch.generation(l)).collect();
-        assert!(gens.iter().any(|&g| g != gens[0]), "{gens:?}");
+        let at: Vec<u64> = lanes.iter().map(|&l| batch.generation(l)).collect();
+        assert!(at.iter().any(|&g| g != at[0]), "{at:?}");
+    }
+
+    #[test]
+    fn run_to_convergence_freezes_lanes_at_their_own_generation() {
+        check_run_to_convergence_freezes_lanes::<u64>();
+        check_run_to_convergence_freezes_lanes::<W128>();
+        check_run_to_convergence_freezes_lanes::<W512>();
     }
 
     #[test]

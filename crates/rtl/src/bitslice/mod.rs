@@ -71,78 +71,3 @@ pub const LANES: usize = 64;
 /// Number of cells in the hybrid 90/150 CA generator (shared with the
 /// scalar [`crate::rng_rtl::CaRngRtl`]).
 pub const CELLS: usize = 32;
-
-/// A set of 64-lane-engine lanes: bit `l` selects lane `l`. (On the wide
-/// engines the mask type is the plane itself.)
-pub type LaneMask = u64;
-
-/// The mask selecting the first `n` lanes.
-///
-/// # Panics
-/// Panics if `n > LANES`.
-pub fn lane_mask(n: usize) -> LaneMask {
-    assert!(n <= LANES, "at most {LANES} lanes");
-    if n == LANES {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// Iterate over the lane indices present in `mask`, ascending.
-pub fn lanes(mask: LaneMask) -> Lanes {
-    Lanes(mask)
-}
-
-/// Iterator returned by [`lanes`].
-#[derive(Debug, Clone, Copy)]
-pub struct Lanes(LaneMask);
-
-impl Iterator for Lanes {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            let l = self.0.trailing_zeros() as usize;
-            self.0 &= self.0 - 1;
-            Some(l)
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.0.count_ones() as usize;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Lanes {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lane_mask_bounds() {
-        assert_eq!(lane_mask(0), 0);
-        assert_eq!(lane_mask(1), 1);
-        assert_eq!(lane_mask(5), 0b11111);
-        assert_eq!(lane_mask(64), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn lane_mask_overflow_rejected() {
-        lane_mask(65);
-    }
-
-    #[test]
-    fn lanes_iterates_set_bits_ascending() {
-        assert_eq!(lanes(0).count(), 0);
-        assert_eq!(lanes(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
-        assert_eq!(lanes(u64::MAX).count(), 64);
-        assert_eq!(lanes(1u64 << 63).collect::<Vec<_>>(), vec![63]);
-    }
-}

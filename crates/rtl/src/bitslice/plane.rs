@@ -6,9 +6,14 @@
 //! [`W512`] widen it to 2, 4 and 8 `u64`s per signal. The wide words are
 //! plain `[u64; N]` newtypes whose operators are branch-free elementwise
 //! loops: with `target-cpu=native` the compiler autovectorizes them onto
-//! whatever SIMD the host offers (one AVX-512 op per `W512` AND/XOR/OR),
-//! which is the whole performance story — the workspace `forbid(unsafe_code)`
-//! rules out hand-written `core::arch` intrinsics, and none are needed.
+//! whatever SIMD the host offers, which is the whole performance story —
+//! the workspace `forbid(unsafe_code)` rules out hand-written `core::arch`
+//! intrinsics, and none are needed. On an AVX-512 host LLVM still keeps
+//! the plane ops to 256-bit vectors, so a `W512` AND/XOR/OR is two `ymm`
+//! ops: `CaRngXW::<W512>::clock_free` compiles to 64 `vpxor` and 8
+//! `vpternlogq`, all on `ymm`, and a release perfbench build held 436
+//! logic ops on `zmm` against 7114 on `ymm`. The build sets no flag that
+//! changes the preferred vector width.
 //!
 //! ## The codegen rule for hot plane loops
 //!
@@ -66,10 +71,9 @@
 //! | masked clock | 12.9 → 13.5 | 26.6 → 18.0 | 18.3 → 18.8 | 40.4 → 37.7 |
 //!
 //! A `Plane` doubles as the **lane mask** of its own width: bit `l`
-//! selects lane `l`, exactly like the 64-lane [`super::LaneMask`]. All
-//! mask algebra (hold-blends, mask-and-reject retries, convergence
-//! freezing) is the same boolean algebra as the data path, so the generic
-//! engines never need a second mask type.
+//! selects lane `l`. All mask algebra (hold-blends, mask-and-reject
+//! retries, convergence freezing) is the same boolean algebra as the data
+//! path, so the engines never need a second mask type.
 //!
 //! [`plane_registry`] enumerates every width the crate ships, each with an
 //! equivalence probe pinning its kernels to the scalar engine — the
@@ -644,6 +648,12 @@ mod tests {
         check_mask_algebra::<W128>();
         check_mask_algebra::<W256>();
         check_mask_algebra::<W512>();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 lanes")]
+    fn low_mask_overflow_rejected() {
+        u64::low_mask(65);
     }
 
     #[test]

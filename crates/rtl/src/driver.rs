@@ -236,6 +236,9 @@ fn run_engine<P: Plane>(
     let mut free: Vec<usize> = Vec::new();
 
     loop {
+        // every running lane runs a trial: a lane gets one whenever `new`,
+        // `from_lanes` or `reset_lanes` enables it, and a harvested lane
+        // stays converged or out of budget until it is reset
         let running = gap.running_mask(queue.max_generations);
         // harvest finished lanes into the free pool
         (gap.enabled() & !running).for_each_set_lane(|l| {
@@ -257,14 +260,7 @@ fn run_engine<P: Plane>(
             ));
             free.push(l);
         });
-        let mut active = P::ZERO;
-        gap.enabled().for_each_set_lane(|l| {
-            if trial[l].is_some() {
-                active.set_bit(l, true);
-            }
-        });
-        active &= running;
-        if free.len() >= REFILL_GROUP || active.is_zero() {
+        if free.len() >= REFILL_GROUP || running.is_zero() {
             let claimed = queue.claim(free.len());
             if !claimed.is_empty() {
                 let resets: Vec<(usize, u32)> = claimed
@@ -280,21 +276,21 @@ fn run_engine<P: Plane>(
                 continue;
             }
         }
-        if active.is_zero() {
+        if running.is_zero() {
             return;
         }
-        let n = active.count_ones() as usize;
+        let n = running.count_ones() as usize;
         if queue.drained() && (n <= HANDOFF_LANES || (P::LANES > 64 && n <= P::LANES / 2)) {
             let mut lanes = Vec::with_capacity(n);
-            active.for_each_set_lane(|l| {
+            running.for_each_set_lane(|l| {
                 lanes.push((
-                    trial[l].expect("active lanes run a trial"),
+                    trial[l].expect("running lanes run a trial"),
                     gap.lane_state(l),
                 ));
             });
             return hand_off(lanes, queue, done);
         }
-        gap.step_generation_masked(active);
+        gap.step_generation_masked(running);
     }
 }
 

@@ -104,10 +104,31 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
-    /// Total cycles across all phases.
+    /// Total cycles across all phases: the chip's cycle count.
     pub fn total(&self) -> u64 {
         self.init + self.fitness + self.reproduce + self.mutate + self.overhead
     }
+
+    /// The counter of one phase.
+    pub(crate) fn phase_mut(&mut self, phase: Phase) -> &mut u64 {
+        match phase {
+            Phase::Init => &mut self.init,
+            Phase::Fitness => &mut self.fitness,
+            Phase::Reproduce => &mut self.reproduce,
+            Phase::Mutate => &mut self.mutate,
+            Phase::Overhead => &mut self.overhead,
+        }
+    }
+}
+
+/// Which phase a cycle belongs to (for the breakdown accounting).
+#[derive(Clone, Copy)]
+pub(crate) enum Phase {
+    Init,
+    Fitness,
+    Reproduce,
+    Mutate,
+    Overhead,
 }
 
 /// One chip's architectural state at a generation boundary: what moves
@@ -132,9 +153,7 @@ pub struct LaneState {
     pub best_fitness: u32,
     /// Generations executed.
     pub generation: u64,
-    /// System cycles elapsed.
-    pub cycles: u64,
-    /// Per-phase cycle accounting.
+    /// Per-phase cycle accounting; its total is the system cycles elapsed.
     pub breakdown: CycleBreakdown,
 }
 
@@ -163,16 +182,6 @@ pub struct GapRtl {
     draws: u64,
     breakdown: CycleBreakdown,
     initialized_best: bool,
-}
-
-/// Which phase a cycle belongs to (for the breakdown accounting).
-#[derive(Clone, Copy)]
-enum Phase {
-    Init,
-    Fitness,
-    Reproduce,
-    Mutate,
-    Overhead,
 }
 
 impl GapRtl {
@@ -232,7 +241,7 @@ impl GapRtl {
         gap.best_fitness = state.best_fitness;
         gap.initialized_best = true;
         gap.generation = state.generation;
-        gap.clock.advance(state.cycles);
+        gap.clock.advance(state.breakdown.total());
         gap.breakdown = state.breakdown;
         gap
     }
@@ -249,7 +258,6 @@ impl GapRtl {
             best_genome: self.best_genome.bits(),
             best_fitness: self.best_fitness,
             generation: self.generation,
-            cycles: self.clock.cycles(),
             breakdown: self.breakdown,
         }
     }
@@ -260,13 +268,7 @@ impl GapRtl {
     fn cycle(&mut self, phase: Phase) -> u32 {
         self.rng.clock();
         self.clock.tick();
-        match phase {
-            Phase::Init => self.breakdown.init += 1,
-            Phase::Fitness => self.breakdown.fitness += 1,
-            Phase::Reproduce => self.breakdown.reproduce += 1,
-            Phase::Mutate => self.breakdown.mutate += 1,
-            Phase::Overhead => self.breakdown.overhead += 1,
-        }
+        *self.breakdown.phase_mut(phase) += 1;
         self.rng.word()
     }
 
