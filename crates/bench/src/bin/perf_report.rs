@@ -35,8 +35,11 @@
 //! population, and the two lane↔plane conversions the engine runs most:
 //! one lane-major column into 36 genome planes (a fitness evaluation's
 //! input) and 11 planes back to per-lane `u16`s (a mutation-position
-//! read-back). It is where a codegen change to those loops shows up
-//! before it reaches the matrix.
+//! read-back). Its last reading is one `GapRtlXW::new` on every lane
+//! (allocation, seeding, the initiator and the first fitness phase), the
+//! set-up every batch driver and fault campaign pays per engine. It is
+//! where a codegen change to those loops shows up before it reaches the
+//! matrix.
 //!
 //! Every timing is the median over `--reps` runs.
 //!
@@ -207,7 +210,8 @@ impl Handoff {
     }
 }
 
-/// Calls timed per reading of a plane-op row (jumps: a tenth of it).
+/// Calls timed per reading of a plane-op row (jumps: a tenth of it,
+/// engine builds: a two-hundredth).
 const PLANE_OP_CALLS: u32 = 20_000;
 
 /// Median ns per call of the GA engine's hot plane loops at one width.
@@ -219,6 +223,7 @@ struct PlaneOps {
     gather_ns: f64,
     to_planes_ns: f64,
     to_u16_ns: f64,
+    new_ns: f64,
 }
 
 impl PlaneOps {
@@ -287,6 +292,19 @@ impl PlaneOps {
                 black_box(&words);
             }
         });
+        let to_u16_ns = ns(wall, PLANE_OP_CALLS);
+        // an engine on every lane: allocation, seeding, the initiator and
+        // the first fitness phase
+        let seeds = trial_seeds(P::LANES);
+        let builds = PLANE_OP_CALLS / 200;
+        let (wall, _) = median_of(reps, || {
+            for _ in 0..builds {
+                black_box(GapRtlXW::<P>::new(
+                    GapRtlXWConfig::paper(),
+                    black_box(&seeds),
+                ));
+            }
+        });
         PlaneOps {
             lanes: P::LANES,
             clock_ns,
@@ -294,7 +312,8 @@ impl PlaneOps {
             jump37_ns,
             gather_ns,
             to_planes_ns,
-            to_u16_ns: ns(wall, PLANE_OP_CALLS),
+            to_u16_ns,
+            new_ns: ns(wall, builds),
         }
     }
 
@@ -302,14 +321,15 @@ impl PlaneOps {
         format!(
             "{{ \"plane_width\": {}, \"clock_ns\": {:.2}, \"masked_clock_ns\": {:.2}, \
              \"jump37_ns\": {:.2}, \"gather_ns\": {:.2}, \"to_planes_ns\": {:.2}, \
-             \"to_u16_ns\": {:.2} }}",
+             \"to_u16_ns\": {:.2}, \"new_ns\": {:.0} }}",
             self.lanes,
             self.clock_ns,
             self.masked_clock_ns,
             self.jump37_ns,
             self.gather_ns,
             self.to_planes_ns,
-            self.to_u16_ns
+            self.to_u16_ns,
+            self.new_ns
         )
     }
 }
@@ -446,14 +466,15 @@ fn main() {
     for o in &plane_ops {
         eprintln!(
             "  w{:<4} clock {:>7.1}  masked {:>7.1}  jump37 {:>8.1}  gather {:>7.1}  \
-             to_planes {:>7.1}  to_u16 {:>7.1}",
+             to_planes {:>7.1}  to_u16 {:>7.1}  new {:>9.0}",
             o.lanes,
             o.clock_ns,
             o.masked_clock_ns,
             o.jump37_ns,
             o.gather_ns,
             o.to_planes_ns,
-            o.to_u16_ns
+            o.to_u16_ns,
+            o.new_ns
         );
     }
 

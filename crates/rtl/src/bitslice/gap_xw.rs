@@ -47,13 +47,15 @@ use crate::bitslice::fitness_xw::{FitnessUnitXW, SCORE_PLANES};
 use crate::bitslice::plane::{blend, Plane};
 use crate::bitslice::ram_xw::RamXW;
 use crate::bitslice::rng_xw::CaRngXW;
-use crate::bitslice::transpose::{planes_to_bytes, planes_to_lanes, planes_to_u16};
+use crate::bitslice::transpose::{planes_to_bytes, planes_to_u16};
 use crate::bitslice::LANES;
 use crate::gap_rtl::{CycleBreakdown, GapRtlConfig, LaneState, Phase};
 use crate::resources::{ResourceReport, Resources};
+use crate::rng_rtl::{ca_next, seed_word};
 use discipulus::gap::Population;
 use discipulus::genome::{Genome, GENOME_BITS, GENOME_MASK};
 use discipulus::params::GapParams;
+use discipulus::rng::MAXIMAL_RULE_90_150;
 use leonardo_telemetry as tele;
 
 /// Fixed cost of the bit-serial crossover datapath per pair (mirrors the
@@ -211,6 +213,45 @@ impl<P: Plane> Scratch<P> {
     }
 }
 
+/// The lanes an initiator fills and their generator words, stepped
+/// lane-major: `words[k]` is lane `lanes[k]`'s CA state.
+struct FreshLanes {
+    lanes: Vec<usize>,
+    words: Vec<u32>,
+    /// The genome each lane's last two draws assembled.
+    genomes: Vec<u64>,
+}
+
+impl FreshLanes {
+    /// The lanes of `(lane, seed)` pairs at their seeds' words.
+    fn new(seeds: impl Iterator<Item = (usize, u32)>) -> FreshLanes {
+        let (lanes, words): (Vec<usize>, Vec<u32>) =
+            seeds.map(|(l, seed)| (l, seed_word(seed))).unzip();
+        let genomes = vec![0; words.len()];
+        FreshLanes {
+            lanes,
+            words,
+            genomes,
+        }
+    }
+
+    /// One individual's two initiator draws on every fresh lane: `first`
+    /// cycles to the low word, one more to the high one, and the genome
+    /// `lo | (hi & 0xF) << 32`. Flat loops over the words, which vectorize.
+    fn draw_genomes(&mut self, first: u64) {
+        let step = |w: u32| ca_next(w, MAXIMAL_RULE_90_150);
+        for _ in 1..first {
+            self.words.iter_mut().for_each(|w| *w = step(*w));
+        }
+        for (w, g) in self.words.iter_mut().zip(&mut self.genomes) {
+            let lo = step(*w);
+            let hi = step(lo);
+            *w = hi;
+            *g = u64::from(lo) | u64::from(hi & 0xF) << 32;
+        }
+    }
+}
+
 /// Per-lane `(a > b, a == b)` over score planes: the MSB-first sliced
 /// comparator, written out plane by plane — the plane-parallel form of
 /// `P::LANES` integer compares.
@@ -342,12 +383,12 @@ impl<P: Plane> GapRtlXW<P> {
     /// Panics if the parameters fail validation or `seeds` is empty or
     /// longer than `P::LANES`.
     pub fn new(config: GapRtlXWConfig, seeds: &[u32]) -> GapRtlXW<P> {
-        let mut gap = GapRtlXW::blank(config, seeds.len());
-        for (l, &seed) in seeds.iter().enumerate() {
-            gap.rng.seed_lane(l, seed);
-        }
+        let mut gap = GapRtlXW::blank(config, seeds.len(), CaRngXW::new(seeds));
         let mut acct = Acct::new(gap.enabled);
-        gap.power_on(&mut acct);
+        gap.power_on(
+            &mut acct,
+            FreshLanes::new(seeds.iter().copied().enumerate()),
+        );
         gap.flush(&mut acct);
         gap
     }
@@ -363,11 +404,11 @@ impl<P: Plane> GapRtlXW<P> {
     /// longer than `P::LANES`, or a state's population size differs from
     /// the parameters'.
     pub fn from_lanes(config: GapRtlXWConfig, states: &[LaneState]) -> GapRtlXW<P> {
-        let mut gap = GapRtlXW::blank(config, states.len());
+        let rng = CaRngXW::from_lane_words(states.iter().map(|s| s.rng));
+        let mut gap = GapRtlXW::blank(config, states.len(), rng);
         let n = config.params.population_size;
         for (l, s) in states.iter().enumerate() {
             assert_eq!(s.population.len(), n, "lane state population size");
-            gap.rng.set_lane_word(l, s.rng);
             for (i, &g) in s.population.iter().enumerate() {
                 gap.basis.write_lane(i, l, g);
             }
@@ -404,9 +445,9 @@ impl<P: Plane> GapRtlXW<P> {
         }
     }
 
-    /// The engine with `lanes` enabled lanes, every generator at state 1
-    /// and everything else zero, before any initiator runs.
-    fn blank(config: GapRtlXWConfig, lanes: usize) -> GapRtlXW<P> {
+    /// The engine with `lanes` enabled lanes and the generators of `rng`,
+    /// everything else zero, before any initiator runs.
+    fn blank(config: GapRtlXWConfig, lanes: usize, rng: CaRngXW<P>) -> GapRtlXW<P> {
         config.params.validate().expect("invalid GAP parameters");
         assert!(
             (1..=P::LANES).contains(&lanes),
@@ -425,7 +466,7 @@ impl<P: Plane> GapRtlXW<P> {
         GapRtlXW {
             config,
             enabled: P::low_mask(lanes),
-            rng: CaRngXW::new(&[]),
+            rng,
             fitness_unit: FitnessUnitXW::new(config.params.fitness),
             basis: RamXW::new(n, 36),
             intermediate: RamXW::new(n, 36),
@@ -484,7 +525,7 @@ impl<P: Plane> GapRtlXW<P> {
             }
         }
         let mut acct = Acct::new(m);
-        self.power_on(&mut acct);
+        self.power_on(&mut acct, FreshLanes::new(resets.iter().copied()));
         self.flush(&mut acct);
     }
 
@@ -638,31 +679,47 @@ impl<P: Plane> GapRtlXW<P> {
         mask & self.rng.lt_const(8, u32::from(threshold))
     }
 
-    /// Power-on of the fresh lanes in `acct.active`: the initiator, then
-    /// the first fitness phase. The initiator fills the basis population,
-    /// 2 RNG words + 1 write cycle per individual, per lane. A genome is
-    /// the first word's 32 cells plus the second word's low 4, as planes:
-    /// they are transposed once into the lane-major RAM column and scored
-    /// as they are, so the first fitness phase transposes nothing back.
-    /// Lanes outside `acct.active` keep their scores.
-    fn power_on(&mut self, acct: &mut Acct<P>) {
+    /// Power-on of the fresh lanes in `acct.active`, listed in `fresh`:
+    /// the initiator, then the first fitness phase. The initiator fills
+    /// the basis population, 2 RNG words + 1 write cycle per individual,
+    /// per lane. Every initiator draw is uniform over the fresh lanes, so
+    /// each lane's generator word after a draw is its scalar CA stepped
+    /// as many cycles as the sliced generator just advanced: the words in
+    /// `fresh` step lane-major in lockstep with the planes and give the
+    /// lane-major RAM its genomes (the first word plus the second word's
+    /// low 4 bits), while the drawn planes are scored as they are. Nothing
+    /// is transposed either way. Lanes outside `acct.active` keep their
+    /// scores.
+    fn power_on(&mut self, acct: &mut Acct<P>, mut fresh: FreshLanes) {
         let a = acct.active;
+        debug_assert_eq!(a.count_ones() as usize, fresh.lanes.len());
         let fu = self.fitness_unit;
         let mut planes = [P::ZERO; GENOME_BITS];
-        let mut genome = vec![0u64; P::LANES];
         for i in 0..self.config.params.population_size {
+            // the first draw also settles the previous write cycle
+            let first = self.rng_owed + 1;
             self.draw(acct, a, Phase::Init);
             planes[..32].copy_from_slice(self.rng.low_cells(32));
             self.draw(acct, a, Phase::Init);
             planes[32..].copy_from_slice(self.rng.low_cells(GENOME_BITS - 32));
-            planes_to_lanes(&planes, a, &mut genome);
             self.advance_dead(acct, Phase::Init, 1); // write cycle
-            self.basis.write_masked(i, a, &genome);
+            fresh.draw_genomes(first);
+            for (&l, &genome) in fresh.lanes.iter().zip(&fresh.genomes) {
+                self.basis.write_lane(i, l, genome);
+            }
             let f = fu.evaluate_transposed_planes(&planes);
             for (s, f) in self.scores[i].iter_mut().zip(f) {
                 *s = blend(f, *s, a);
             }
         }
+        debug_assert!(
+            fresh
+                .lanes
+                .iter()
+                .zip(&fresh.words)
+                .all(|(&l, &w)| w == self.rng.lane_word(l)),
+            "lane-major initiator words left the sliced generator"
+        );
         // the first fitness phase: a fresh chip first power-on-latches
         // individual 0 into its best register (no cycles)
         self.latch_best(0, a);
@@ -1229,7 +1286,9 @@ mod tests {
     }
 
     fn check_initiator_on_every_lane<P: Plane>() {
-        let s = seeds(P::LANES);
+        // a zero seed too, remapped to 1 like the scalar chip's
+        let mut s = seeds(P::LANES);
+        s[P::LANES / 2 + 1] = 0;
         let batch = GapRtlXW::<P>::new(GapRtlXWConfig::paper().recording(), &s);
         for (l, &seed) in s.iter().enumerate() {
             let scalar = GapRtl::new(GapRtlConfig::paper(seed));
@@ -1251,9 +1310,10 @@ mod tests {
 
     #[test]
     fn initiator_matches_scalar_on_every_lane() {
-        // every limb of the widest plane goes through the initiator's
-        // plane-to-lane extraction
+        // every limb of each plane goes through the initiator's lane-major
+        // genome writes
         check_initiator_on_every_lane::<u64>();
+        check_initiator_on_every_lane::<W128>();
         check_initiator_on_every_lane::<W512>();
     }
 
@@ -1275,8 +1335,44 @@ mod tests {
         }
     }
 
+    /// `reset_lanes(resets)`, checked: every lane outside the group keeps
+    /// its scores, best planes and best registers bit for bit, and every
+    /// lane outside `stale` holds the scores of its basis.
+    fn reset_group<P: Plane>(gap: &mut GapRtlXW<P>, resets: &[(usize, u32)], stale: P) {
+        let before = gap.clone();
+        gap.reset_lanes(resets);
+        let mut kept = P::ONES;
+        for &(l, _) in resets {
+            kept.set_bit(l, false);
+        }
+        assert_scores_match_basis(gap, !stale, "after reset_lanes");
+        for (i, (now, was)) in gap.scores.iter().zip(&before.scores).enumerate() {
+            assert!(planes_agree(now, was, kept), "{} individual {i}", P::NAME);
+        }
+        assert!(planes_agree(&gap.best_planes, &before.best_planes, kept));
+        kept.for_each_set_lane(|l| {
+            assert_eq!(gap.best(l), before.best(l), "{} lane {l}", P::NAME);
+        });
+    }
+
+    /// Each lane of `resets`, one step after its reset, against a fresh
+    /// scalar chip one generation in.
+    fn assert_reset_lanes_one_step_in<P: Plane>(gap: &GapRtlXW<P>, resets: &[(usize, u32)]) {
+        for &(l, seed) in resets {
+            let mut fresh = GapRtl::new(GapRtlConfig::paper(seed));
+            fresh.step_generation();
+            let name = P::NAME;
+            assert_eq!(gap.population(l), fresh.population(), "{name} lane {l}");
+            assert_eq!(gap.best(l), fresh.best(), "{name} lane {l}");
+            assert_eq!(gap.cycles(l), fresh.clock().cycles(), "{name} lane {l}");
+        }
+    }
+
     fn check_fresh_lanes_are_scored_from_their_planes<P: Plane>() {
-        let s = seeds(P::LANES);
+        // a zero seed in `new` and in each reset group: the lane-major
+        // initiator words remap it to 1 as the scalar chip does
+        let mut s = seeds(P::LANES);
+        s[P::LANES - 5] = 0;
         let mut gap = GapRtlXW::<P>::new(GapRtlXWConfig::paper(), &s);
         assert_scores_match_basis(&gap, P::ONES, "after new");
         for _ in 0..3 {
@@ -1293,24 +1389,16 @@ mod tests {
             .expect("some bit flip changes the score");
         let pos = 7 * GENOME_BITS + bit;
         gap.inject_upset(pos, P::lane_bit(upset_lane));
-        let before = gap.clone();
-        let resets: Vec<(usize, u32)> = (0..8)
-            .map(|k| (k * P::LANES / 8 + k, 0xBEE0 + k as u32))
+        // 8 lanes, one in each eighth of the plane
+        let small: Vec<(usize, u32)> = (0..8)
+            .map(|k| {
+                (
+                    k * P::LANES / 8 + k,
+                    if k == 5 { 0 } else { 0xBEE0 + k as u32 },
+                )
+            })
             .collect();
-        let mut reset = P::ZERO;
-        for &(l, _) in &resets {
-            reset.set_bit(l, true);
-        }
-        gap.reset_lanes(&resets);
-        let kept = !reset;
-        assert_scores_match_basis(&gap, !P::lane_bit(upset_lane), "after reset_lanes");
-        for (i, (now, was)) in gap.scores.iter().zip(&before.scores).enumerate() {
-            assert!(planes_agree(now, was, kept), "{} individual {i}", P::NAME);
-        }
-        assert!(planes_agree(&gap.best_planes, &before.best_planes, kept));
-        kept.for_each_set_lane(|l| {
-            assert_eq!(gap.best(l), before.best(l), "{} lane {l}", P::NAME);
-        });
+        reset_group(&mut gap, &small, P::lane_bit(upset_lane));
         // both kinds of lane go on in lockstep with their scalar twins
         gap.step_generation();
         let mut upset = GapRtl::new(GapRtlConfig::paper(s[upset_lane]));
@@ -1321,28 +1409,27 @@ mod tests {
         upset.step_generation();
         assert_eq!(gap.population(upset_lane), upset.population());
         assert_eq!(gap.best(upset_lane), upset.best());
-        for &(l, seed) in &resets {
-            let mut fresh = GapRtl::new(GapRtlConfig::paper(seed));
-            fresh.step_generation();
-            assert_eq!(
-                gap.population(l),
-                fresh.population(),
-                "{} lane {l}",
-                P::NAME
-            );
-            assert_eq!(gap.best(l), fresh.best(), "{} lane {l}", P::NAME);
-            assert_eq!(
-                gap.cycles(l),
-                fresh.clock().cycles(),
-                "{} lane {l}",
-                P::NAME
-            );
-        }
+        assert_reset_lanes_one_step_in(&gap, &small);
+        // a group of more than 16 lanes in every limb (37 is prime to every
+        // lane count); the step rescored the upset lane
+        let large: Vec<(usize, u32)> = (0..20u32)
+            .map(|j| {
+                (
+                    (37 * j as usize + 5) % P::LANES,
+                    if j == 11 { 0 } else { 0xC0DE + j },
+                )
+            })
+            .collect();
+        assert!((0..P::WORDS).all(|w| large.iter().any(|&(l, _)| l / 64 == w)));
+        reset_group(&mut gap, &large, P::ZERO);
+        gap.step_generation();
+        assert_reset_lanes_one_step_in(&gap, &large);
     }
 
     #[test]
     fn fresh_lanes_are_scored_from_their_planes() {
         check_fresh_lanes_are_scored_from_their_planes::<u64>();
+        check_fresh_lanes_are_scored_from_their_planes::<W128>();
         check_fresh_lanes_are_scored_from_their_planes::<W512>();
     }
 

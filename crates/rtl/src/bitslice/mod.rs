@@ -30,8 +30,10 @@
 //! * populations stay **lane-major** ([`RamXW`]), because selection and
 //!   mutation address them with per-lane divergent indices; a whole-plane
 //!   64×64 bit-matrix transpose ([`transpose::transposed_planes`], one
-//!   plane op per step at every width) bridges the two layouts on demand,
-//!   and fresh genomes are scored from the planes they were drawn as.
+//!   plane op per step at every width) bridges the two layouts on demand.
+//!   The initiator crosses neither way: it writes fresh genomes from
+//!   lane-major generator words stepped in lockstep with the sliced
+//!   generator, and scores them from the planes they were drawn as.
 //!
 //! Lanes diverge in *time* (mask-and-reject draws retry per lane, the
 //! crossover decision draws a cut point only on success), which is handled

@@ -5,8 +5,10 @@
 //! and mutation address the population with per-lane divergent indices.
 //! The bit-sliced fitness unit gets its transposed view on demand via
 //! [`crate::bitslice::transpose::transposed_planes`], one whole-plane
-//! transpose per column, and the initiator scores fresh genomes from the
-//! planes they were drawn as.
+//! transpose per column. The initiator needs no transpose either way: it
+//! writes each fresh lane's genome from that lane's generator word,
+//! stepped lane-major in lockstep with the sliced generator, and scores
+//! the same genomes from the planes they were drawn as.
 //!
 //! The layout was decided on an estimate (2-core AVX-512 host); no
 //! plane-major RAM was built. A plane-major parent read would be a

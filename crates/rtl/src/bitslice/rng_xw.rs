@@ -10,9 +10,11 @@
 //! shift, the 38-cycle pipeline drain, and the fitness phase's read
 //! cycles) therefore execute as precomputed jump tables instead of
 //! stepping — the single biggest lever behind the batch engine's
-//! throughput. Jump tables for arbitrary strides are built lazily (one
-//! `Mⁿ` per distinct stride ever used; the table depends only on the
-//! stride, not the plane width) and applied with the four-Russians trick:
+//! throughput. Jump tables for arbitrary strides are built lazily, once
+//! per process: the rows of `Mⁿ` depend only on the stride, not on the
+//! plane width or the engine, so the first generator to jump by a stride
+//! builds them into a process-wide cache and every later one copies them
+//! into its own short list. They are applied with the four-Russians trick:
 //! the 32 current cell planes are folded into 8 nibble tables of 16
 //! precombined XORs, so a dense matrix row costs 8 plane lookups instead
 //! of ~16 plane XORs.
@@ -25,12 +27,15 @@
 //! in the mask (the engine uses them when no enabled lane is frozen).
 
 use crate::bitslice::plane::{blend, each_cell, Plane};
+use crate::bitslice::transpose::transposed_planes;
 use crate::bitslice::{CELLS, LANES};
 use crate::netlist::{Describe, StaticNetlist};
 use crate::resources::Resources;
+use crate::rng_rtl::seed_word;
 use crate::semantics::{Lit, Semantics, SeqCircuit};
 use discipulus::rng::analysis::ca_update_matrix;
 use discipulus::rng::MAXIMAL_RULE_90_150;
+use std::sync::{Mutex, PoisonError};
 
 /// `P::LANES` independent 32-cell hybrid 90/150 CA generators,
 /// bit-sliced.
@@ -41,14 +46,39 @@ use discipulus::rng::MAXIMAL_RULE_90_150;
 pub struct CaRngXW<P: Plane> {
     /// Transposed state: `cells[i]` bit `l` = cell `i` of lane `l`.
     cells: [P; CELLS],
-    /// Lazily built rows of `Mⁿ` per distinct advance stride `n`
-    /// (bit `j` of row `i` = tap from cell `j`; width-independent). The
-    /// engine jumps by a handful of strides, so a scan beats hashing.
+    /// The rows of `Mⁿ` per advance stride `n` this generator has used
+    /// (bit `j` of row `i` = tap from cell `j`; width-independent), copied
+    /// from [`JUMP_ROWS`] on first use. The engine jumps by a handful of
+    /// strides, so a scan beats hashing.
     jumps: Vec<(u64, [u32; CELLS])>,
 }
 
 /// Stepping is cheaper than a table jump below this stride.
 const MIN_JUMP: u64 = 8;
+
+/// The `Mⁿ` rows of every stride any generator of this process has
+/// jumped by. They depend only on the stride, so each is built once per
+/// process, not once per engine; the lock is held only to look a stride
+/// up or to insert it.
+static JUMP_ROWS: Mutex<Vec<(u64, [u32; CELLS])>> = Mutex::new(Vec::new());
+
+/// The rows of stride `n` in a stride list, if it has them.
+fn find_rows(rows: &[(u64, [u32; CELLS])], n: u64) -> Option<[u32; CELLS]> {
+    rows.iter()
+        .find(|(stride, _)| *stride == n)
+        .map(|&(_, t)| t)
+}
+
+/// The rows of stride `n` from [`JUMP_ROWS`], built and inserted on a
+/// miss.
+fn shared_jump_rows(n: u64) -> [u32; CELLS] {
+    let mut rows = JUMP_ROWS.lock().unwrap_or_else(PoisonError::into_inner);
+    find_rows(&rows, n).unwrap_or_else(|| {
+        let t = ca_update_matrix(MAXIMAL_RULE_90_150).pow(n).0;
+        rows.push((n, t));
+        t
+    })
+}
 
 /// Whether CA cell `i` carries the rule-150 self-tap of the certified
 /// maximal rule vector.
@@ -104,29 +134,33 @@ impl<P: Plane> CaRngXW<P> {
     /// # Panics
     /// Panics if more than `P::LANES` seeds are given.
     pub fn new(seeds: &[u32]) -> CaRngXW<P> {
-        assert!(seeds.len() <= P::LANES, "at most {} lanes", P::LANES);
-        let mut rng = CaRngXW {
-            cells: [P::ZERO; CELLS],
+        CaRngXW::from_lane_words(seeds.iter().map(|&s| seed_word(s)))
+    }
+
+    /// Generators whose lane `l` holds the `l`-th raw state word (migrated
+    /// chips' generators, no zero remap), loaded with one whole-plane
+    /// transpose; lanes past the words idle at 1.
+    ///
+    /// # Panics
+    /// Panics if more than `P::LANES` words are given.
+    pub fn from_lane_words(words: impl ExactSizeIterator<Item = u32>) -> CaRngXW<P> {
+        assert!(words.len() <= P::LANES, "at most {} lanes", P::LANES);
+        let mut lane_major = vec![1u64; P::LANES];
+        for (l, w) in lane_major.iter_mut().zip(words) {
+            *l = u64::from(w);
+        }
+        let mut cells = [P::ZERO; CELLS];
+        transposed_planes(&lane_major, &mut cells);
+        CaRngXW {
+            cells,
             jumps: Vec::new(),
-        };
-        for (l, &seed) in seeds.iter().enumerate() {
-            rng.seed_lane(l, seed);
         }
-        for l in seeds.len()..P::LANES {
-            rng.cells[0].set_bit(l, true);
-        }
-        rng
     }
 
     /// Re-seed one lane in place (used when a convergence driver recycles
     /// a finished lane for a fresh trial); all other lanes hold.
     pub fn seed_lane(&mut self, lane: usize, seed: u32) {
-        self.set_lane_word(lane, if seed == 0 { 1 } else { seed });
-    }
-
-    /// Load one lane's raw state word (a migrated chip's generator, no
-    /// zero remap); all other lanes hold.
-    pub fn set_lane_word(&mut self, lane: usize, word: u32) {
+        let word = seed_word(seed);
         for (i, c) in self.cells.iter_mut().enumerate() {
             c.set_bit(lane, word >> i & 1 == 1);
         }
@@ -195,12 +229,13 @@ impl<P: Plane> CaRngXW<P> {
         }
     }
 
-    /// The `Mⁿ` row table for stride `n`, built on first use.
+    /// The `Mⁿ` row table for stride `n`: from this engine's list, else
+    /// copied once from the process-wide [`JUMP_ROWS`].
     fn jump_table(&mut self, n: u64) -> [u32; CELLS] {
-        if let Some(&(_, t)) = self.jumps.iter().find(|(stride, _)| *stride == n) {
+        if let Some(t) = find_rows(&self.jumps, n) {
             return t;
         }
-        let t = ca_update_matrix(MAXIMAL_RULE_90_150).pow(n).0;
+        let t = shared_jump_rows(n);
         self.jumps.push((n, t));
         t
     }
@@ -371,7 +406,7 @@ impl Semantics for CaRngXW<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitslice::plane::{Wide, W128, W512};
+    use crate::bitslice::plane::{Wide, W128, W256, W512};
     use crate::rng_rtl::CaRngRtl;
 
     fn seeds(n: usize) -> Vec<u32> {
@@ -461,6 +496,16 @@ mod tests {
                 stepped.clock(mask);
             }
             assert_eq!(jumped.cells, stepped.cells, "jump {n}");
+            // the rows come from the process-wide cache, equal a fresh
+            // matrix power, and a second generator gets the same rows
+            let fresh = ca_update_matrix(MAXIMAL_RULE_90_150).pow(n).0;
+            let shared = find_rows(&JUMP_ROWS.lock().unwrap(), n);
+            assert_eq!(shared, Some(fresh), "shared rows {n}");
+            assert_eq!(find_rows(&jumped.jumps, n), Some(fresh), "rows {n}");
+            let mut second = CaRngXW::<u64>::new(&seeds);
+            second.advance(mask, n);
+            assert_eq!(find_rows(&second.jumps, n), Some(fresh), "second rows {n}");
+            assert_eq!(second.cells, jumped.cells, "second jump {n}");
         }
     }
 
@@ -514,14 +559,30 @@ mod tests {
         }
     }
 
+    /// Zero seeds read 1 and the other seeds as given; the lanes past
+    /// the seeds, in the upper limbs of a wide plane, idle at 1, never
+    /// the zero fixed point.
+    fn check_zero_seeds_remapped<P: Plane>() {
+        let mut s = seeds(P::LANES / 2 + 3);
+        let n = s.len();
+        for l in [0, 2, n - 1] {
+            s[l] = 0;
+        }
+        for s in [&[0, 5, 0][..], &s] {
+            let r = CaRngXW::<P>::new(s);
+            for l in 0..P::LANES {
+                let want = s.get(l).map_or(1, |&w| w.max(1));
+                assert_eq!(r.lane_word(l), want, "{} lane {l}", P::NAME);
+            }
+        }
+    }
+
     #[test]
     fn zero_seed_remapped_per_lane() {
-        let r = CaRngXW::<u64>::new(&[0, 5, 0]);
-        assert_eq!(r.lane_word(0), 1);
-        assert_eq!(r.lane_word(1), 5);
-        assert_eq!(r.lane_word(2), 1);
-        // unused lanes idle at 1, never the zero fixed point
-        assert_eq!(r.lane_word(63), 1);
+        check_zero_seeds_remapped::<u64>();
+        check_zero_seeds_remapped::<W128>();
+        check_zero_seeds_remapped::<W256>();
+        check_zero_seeds_remapped::<W512>();
     }
 
     #[test]

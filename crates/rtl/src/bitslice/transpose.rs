@@ -2,12 +2,18 @@
 //! (word `l` = lane `l`'s value) and the bit-sliced layout (word `b` = bit
 //! `b` across all lanes).
 //!
-//! Every helper ([`transposed_planes`], [`planes_to_lanes`],
-//! [`planes_to_bytes`], [`planes_to_u16`]) works on whole planes: a
-//! `W512` conversion is one [`transpose64`] (or one multiply-spread pass)
-//! whose every step is one 512-bit plane op, not eight scalar passes, one
-//! per limb. Only the strided reads and writes of the lane-major side
-//! touch single limbs.
+//! Every helper ([`transposed_planes`], [`planes_to_bytes`],
+//! [`planes_to_u16`]) works on whole planes: a `W512` conversion is one
+//! [`transpose64`] (or one multiply-spread pass) whose every step is one
+//! 512-bit plane op, not eight scalar passes, one per limb. Only the
+//! strided reads of the lane-major side touch single limbs.
+//!
+//! Nothing converts whole genomes from planes back to lanes: the GA
+//! engine's initiator steps each fresh lane's generator word lane-major
+//! in lockstep with the sliced generator, so it writes the lane-major RAM
+//! from those words and scores the same genomes from the drawn planes.
+//! Only small per-lane values (draw results, counts) leave the sliced
+//! domain, through the multiply-spread gathers.
 
 use crate::bitslice::plane::Plane;
 
@@ -123,49 +129,6 @@ pub fn transposed_planes<P: Plane>(lane_major: &[u64], out: &mut [P]) {
     out.copy_from_slice(&rows[..out.len()]);
 }
 
-/// A mask with at most this many lanes is read lane by lane. On 36
-/// planes (2-core AVX-512 host) one lane costs 10–15 ns at every width
-/// and one transpose 190, 250, 350 and 700 ns at `u64`, `W128`, `W256`
-/// and `W512`, so the lane reads stay cheaper up to about 18, 17, 21 and
-/// 40 lanes. The batch driver refills every free lane once at least 8 are
-/// free, 8.4 lanes a group on average over a 64-lane batch: its refills
-/// take the lane reads, an engine's all-lane power-on the transpose.
-const SPARSE_LANES: u32 = 16;
-
-/// The inverse of [`transposed_planes`] for the lanes of `lanes`:
-/// afterwards `out[l]` bit `b` is lane `l` of `planes[b]` for every lane
-/// `l` of `lanes` (bits from `planes.len()` up are zero); the words of
-/// other lanes are left as they were. Up to 16 lanes are read lane by
-/// lane, more take one whole-plane [`transpose64`].
-///
-/// # Panics
-/// Debug-asserts `planes.len() ≤ 64` and `out.len() == P::LANES`.
-pub fn planes_to_lanes<P: Plane>(planes: &[P], lanes: P, out: &mut [u64]) {
-    debug_assert!(planes.len() <= 64);
-    debug_assert_eq!(out.len(), P::LANES);
-    if lanes.count_ones() <= SPARSE_LANES {
-        lanes.for_each_set_lane(|l| {
-            let (w, bit) = (l / 64, l % 64);
-            out[l] = planes
-                .iter()
-                .enumerate()
-                .fold(0, |v, (b, p)| v | (p.word(w) >> bit & 1) << b);
-        });
-        return;
-    }
-    let mut rows = [P::ZERO; 64];
-    rows[..planes.len()].copy_from_slice(planes);
-    transpose64(&mut rows);
-    for w in 0..P::WORDS {
-        let m = lanes.word(w);
-        for (k, (o, row)) in out[64 * w..64 * w + 64].iter_mut().zip(&rows).enumerate() {
-            if m >> k & 1 == 1 {
-                *o = row.word(w);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,35 +183,8 @@ mod tests {
         assert_eq!(a, orig);
     }
 
-    /// One kind of limb in a `planes_to_lanes` mask.
-    #[derive(Clone, Copy, Debug)]
-    enum Limb {
-        Dense,
-        Sparse,
-        Empty,
-        Full,
-    }
-
-    impl Limb {
-        const ALL: [Limb; 4] = [Limb::Dense, Limb::Sparse, Limb::Empty, Limb::Full];
-
-        fn word(self) -> u64 {
-            match self {
-                Limb::Dense => !0x0F00u64,
-                Limb::Sparse => 0x8000_0000_0021_0201, // 5 lanes
-                Limb::Empty => 0,
-                Limb::Full => !0,
-            }
-        }
-    }
-
     /// Every conversion at width `P` against the naive per-lane bit
-    /// gather; `planes_to_lanes` under masks whose limbs cycle through
-    /// every limb kind, so each width meets each kind in each limb
-    /// position, under alternating sparse and empty limbs, under one
-    /// sparse limb alone, and under driver-like refill masks of
-    /// `SPARSE_LANES` lanes (read lane by lane) and one more (transposed)
-    /// spread over the whole plane.
+    /// gather.
     fn check_conversions<P: Plane>() {
         let mut lane_major = vec![0u64; P::LANES];
         let mut x = 0x0F1E_2D3C_4B5A_6978u64;
@@ -284,43 +220,6 @@ mod tests {
                     w & ((1 << k) - 1),
                     "{name} k={k} lane {l}"
                 );
-            }
-        }
-        let rotations =
-            (0..Limb::ALL.len()).map(|r| (0..P::WORDS).map(|w| Limb::ALL[(w + r) % 4]).collect());
-        let alternating = (0..P::WORDS)
-            .map(|w| [Limb::Sparse, Limb::Empty][w % 2])
-            .collect();
-        let last_sparse = (0..P::WORDS)
-            .map(|w| {
-                if w + 1 == P::WORDS {
-                    Limb::Sparse
-                } else {
-                    Limb::Empty
-                }
-            })
-            .collect();
-        let limb_masks = rotations
-            .chain([alternating, last_sparse])
-            .map(|kinds: Vec<Limb>| (P::from_words(|w| kinds[w].word()), format!("{kinds:?}")));
-        let refills = [SPARSE_LANES, SPARSE_LANES + 1].map(|n| {
-            let mut lanes = P::ZERO;
-            for i in 0..n as usize {
-                lanes.set_bit((37 * i + 5) % P::LANES, true);
-            }
-            assert_eq!(lanes.count_ones(), n);
-            (lanes, format!("{n} refill lanes"))
-        });
-        for (lanes, what) in limb_masks.chain(refills) {
-            let mut back = vec![u64::MAX; P::LANES];
-            planes_to_lanes(&planes, lanes, &mut back);
-            for (l, &w) in lane_major.iter().enumerate() {
-                let want = if lanes.bit(l) {
-                    w & ((1 << 40) - 1)
-                } else {
-                    u64::MAX
-                };
-                assert_eq!(back[l], want, "{name} {what}: lane {l}");
             }
         }
     }

@@ -14,6 +14,26 @@ use crate::resources::Resources;
 use crate::semantics::{Lit, Semantics, SeqCircuit};
 use discipulus::rng::MAXIMAL_RULE_90_150;
 
+/// One clock edge of a CA state word under `rule`: `left ⊕ right`, plus
+/// `⊕ self` on rule-150 cells; null boundary. The one word form of the
+/// rule, shared by [`CaRngRtl::clock`] and the batch initiator's
+/// lane-major generator words.
+#[inline(always)]
+pub(crate) fn ca_next(s: u32, rule: u32) -> u32 {
+    (s << 1) ^ (s >> 1) ^ (s & rule)
+}
+
+/// A seed's generator word: zero, the CA's only fixed point, is remapped
+/// to 1.
+#[inline]
+pub(crate) fn seed_word(seed: u32) -> u32 {
+    if seed == 0 {
+        1
+    } else {
+        seed
+    }
+}
+
 /// The 32-cell hybrid 90/150 CA generator as registered hardware.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaRngRtl {
@@ -26,7 +46,7 @@ impl CaRngRtl {
     /// remapped to 1 (the CA's only fixed point).
     pub fn new(seed: u32) -> CaRngRtl {
         CaRngRtl {
-            state: if seed == 0 { 1 } else { seed },
+            state: seed_word(seed),
             rule: MAXIMAL_RULE_90_150,
         }
     }
@@ -74,8 +94,7 @@ impl CaRngRtl {
     /// rule-150 cells; null boundary).
     #[inline]
     pub fn clock(&mut self) {
-        let s = self.state;
-        self.state = (s << 1) ^ (s >> 1) ^ (s & self.rule);
+        self.state = ca_next(self.state, self.rule);
     }
 
     /// Resource estimate: 32 state FFs, each fed by a 3-input XOR in the
@@ -106,7 +125,7 @@ impl Semantics for CaRngRtl {
         let c = &mut sc.circuit;
         // bit i of (s << 1) ^ (s >> 1) ^ (s & rule): neighbours with null
         // boundary, plus the self tap on rule-150 cells — derived from the
-        // word expression in `clock`, not from the sliced engine
+        // word expression in `ca_next`, not from the sliced engine
         let next: Vec<Lit> = (0..32)
             .map(|i| {
                 let left = if i > 0 { cells[i - 1] } else { Lit::FALSE };
